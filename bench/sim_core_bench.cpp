@@ -3,9 +3,10 @@
 //
 // Default mode runs hand-rolled event-mix benchmarks against both the
 // current engine (sim/simulator.hpp: indexed 4-ary heap + same-instant
-// FIFO + inline callbacks) and a benchmark-local copy of the previous
-// engine (std::function + std::priority_queue + tombstone set), reports
-// events/sec for each, and writes BENCH_sim_core.json.
+// FIFO + fixed-delay lanes + inline callbacks) and a benchmark-local copy
+// of the previous engine (std::function + std::priority_queue +
+// tombstone set), reports events/sec for each, and writes
+// BENCH_sim_core.json.
 //
 // Pass --gbench to run the google-benchmark micro suite instead (event
 // scheduling, link packet delivery, RC message transfer); remaining
@@ -218,6 +219,58 @@ struct CancelMix {
   }
 };
 
+// Fixed-delay lane mix, protocol-shaped like MPI over RC: K components
+// each push a packet through three stages with constants shared by all
+// of them (serialization, switch hop, HCA cost), and every delivery
+// re-arms the component's RTO-style guard timer (cancel + schedule at a
+// constant timeout), so cancelled timers sit mid-lane. The current
+// engine schedules through schedule_fixed(); the baseline has no lanes
+// and runs the identical mix through schedule().
+template <class Sim>
+struct FixedDelayMix {
+  static constexpr sim::Duration kStage[3] = {2'080, 200, 30};
+  static constexpr sim::Duration kRto = 200_us;
+
+  Sim& sim;
+  std::uint64_t remaining;
+  std::uint64_t sink = 0;
+  std::vector<std::uint64_t> rto{};
+
+  template <class F>
+  std::uint64_t after(sim::Duration d, F&& f) {
+    if constexpr (requires { sim.schedule_fixed(d, std::forward<F>(f)); }) {
+      return sim.schedule_fixed(d, std::forward<F>(f));
+    } else {
+      return sim.schedule(d, std::forward<F>(f));
+    }
+  }
+
+  void stage(std::uint32_t comp, int k) {
+    if (remaining == 0) return;
+    --remaining;
+    const std::uint64_t p[3] = {remaining, sink, comp};
+    after(kStage[k], [this, comp, k, p] {
+      sink += p[0] ^ p[1] ^ p[2];
+      if (k + 1 < 3) {
+        stage(comp, k + 1);
+        return;
+      }
+      sim.cancel(rto[comp]);
+      rto[comp] = after(kRto, [this] { ++sink; });
+      stage(comp, 0);
+    });
+  }
+
+  void seed_queue(int depth) {
+    for (int c = 0; c < depth; ++c) {
+      rto.push_back(after(kRto, [this] { ++sink; }));
+      const auto comp = static_cast<std::uint32_t>(c);
+      sim.schedule(static_cast<sim::Duration>(c + 1),
+                   [this, comp] { stage(comp, 0); });
+    }
+  }
+};
+
 struct MixResult {
   std::string name;
   std::uint64_t events_baseline = 0;
@@ -299,6 +352,8 @@ int run_mix_suite() {
       run_mix<ChurnMix>("churn_random_delay_d16384", 16384, 1'500'000, reps));
   results.push_back(run_mix<CancelMix>("schedule_cancel_timers", 1, 300'000,
                                        reps));
+  results.push_back(
+      run_mix<FixedDelayMix>("fixed_delay_lanes", 256, 1'500'000, reps));
 
   std::printf("%-36s %14s %14s %9s\n", "mix", "baseline ev/s", "engine ev/s",
               "speedup");

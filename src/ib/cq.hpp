@@ -40,7 +40,7 @@ class Cq {
 
   /// Internal: HCA-side delivery after `delay` ns of completion latency.
   void push_after(sim::Duration delay, Cqe e) {
-    sim_.schedule(delay, [this, e] {
+    sim_.schedule_fixed(delay, [this, e] {
       ++completions_;
       if (callback_) {
         callback_(e);

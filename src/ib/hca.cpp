@@ -55,33 +55,35 @@ void Hca::transmit(Lid dst, std::shared_ptr<const IbPacket> pkt,
 }
 
 void Hca::tx_drain() {
-  std::deque<TxItem>* q = !txq_ctrl_.empty()
-                              ? &txq_ctrl_
-                              : (!txq_data_.empty() ? &txq_data_ : nullptr);
+  sim::Fifo<TxItem>* q = !txq_ctrl_.empty()
+                             ? &txq_ctrl_
+                             : (!txq_data_.empty() ? &txq_data_ : nullptr);
   if (q == nullptr) {
     tx_busy_ = false;
     return;
   }
   tx_busy_ = true;
-  auto item = std::make_shared<TxItem>(std::move(q->front()));
-  q->pop_front();
+  tx_item_ = std::move(q->front());
+  q->drop_front();
   // Control packets are responder-generated; they skip the WQE fetch.
   sim::Duration cost = config_.pkt_overhead;
-  if (item->first_of_msg && !item->control) cost += config_.wqe_overhead;
+  if (tx_item_.first_of_msg && !tx_item_.control) cost += config_.wqe_overhead;
   ++stats_.pkts_tx;
   obs_pkts_tx_->add();
   const std::uint64_t id = next_pkt_id_++;
-  sim().schedule(cost, [this, item, id] {
-    net::Packet p;
-    p.dst = item->dst;
-    p.wire_size = item->wire_size;
-    p.id = id;
-    p.control = item->control;
-    p.payload = std::move(item->pkt);
-    p.on_serialized = std::move(item->on_serialized);
-    node_.send(std::move(p));
-    tx_drain();
-  });
+  sim().schedule_fixed(cost, [this, id] { tx_send(id); });
+}
+
+void Hca::tx_send(std::uint64_t id) {
+  net::Packet p;
+  p.dst = tx_item_.dst;
+  p.wire_size = tx_item_.wire_size;
+  p.id = id;
+  p.control = tx_item_.control;
+  p.payload = std::move(tx_item_.pkt);
+  p.on_serialized = std::move(tx_item_.on_serialized);
+  node_.send(std::move(p));
+  tx_drain();
 }
 
 void Hca::on_node_packet(net::Packet&& p) {
@@ -91,20 +93,28 @@ void Hca::on_node_packet(net::Packet&& p) {
   rx_busy_ = start;
   ++stats_.pkts_rx;
   obs_pkts_rx_->add();
-  auto payload =
-      std::static_pointer_cast<const IbPacket>(std::move(p.payload));
-  const Lid src = p.src;
-  s.schedule_at(start, [this, payload = std::move(payload), src] {
-    auto it = qp_index_.find(payload->dst_qpn);
-    if (it == qp_index_.end()) {
-      ++stats_.pkts_unroutable;
-      obs_pkts_unroutable_->add();
-      IBWAN_WARN(sim().now(), "hca", "lid=%u: packet for unknown qpn=%u",
-                 lid(), payload->dst_qpn);
-      return;
-    }
-    it->second->handle_packet(*payload, src);
-  });
+  rxq_.push_back(
+      RxItem{std::static_pointer_cast<const IbPacket>(std::move(p.payload)),
+             p.src});
+  // An idle receive engine costs the constant per-packet overhead.
+  if (start == s.now() + config_.rx_pkt_overhead) {
+    s.schedule_fixed(config_.rx_pkt_overhead, [this] { rx_process(); });
+  } else {
+    s.schedule_at(start, [this] { rx_process(); });
+  }
+}
+
+void Hca::rx_process() {
+  const RxItem item = rxq_.pop_front();
+  auto it = qp_index_.find(item.pkt->dst_qpn);
+  if (it == qp_index_.end()) {
+    ++stats_.pkts_unroutable;
+    obs_pkts_unroutable_->add();
+    IBWAN_WARN(sim().now(), "hca", "lid=%u: packet for unknown qpn=%u", lid(),
+               item.pkt->dst_qpn);
+    return;
+  }
+  it->second->handle_packet(*item.pkt, item.src);
 }
 
 }  // namespace ibwan::ib

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -18,6 +17,7 @@
 #include "ib/verbs.hpp"
 #include "ib/wire.hpp"
 #include "net/node.hpp"
+#include "sim/containers.hpp"
 #include "sim/simulator.hpp"
 
 namespace ibwan::ib {
@@ -62,16 +62,23 @@ class Hca {
 
  private:
   struct TxItem {
-    Lid dst;
+    Lid dst = 0;
     std::shared_ptr<const IbPacket> pkt;
-    std::uint32_t wire_size;
-    bool first_of_msg;
-    bool control;
+    std::uint32_t wire_size = 0;
+    bool first_of_msg = false;
+    bool control = false;
     std::function<void()> on_serialized;
   };
 
+  struct RxItem {
+    std::shared_ptr<const IbPacket> pkt;
+    Lid src = 0;
+  };
+
   void on_node_packet(net::Packet&& p);
+  void rx_process();
   void tx_drain();
+  void tx_send(std::uint64_t id);
 
   net::Node& node_;
   HcaConfig config_;
@@ -81,10 +88,14 @@ class Hca {
   std::uint64_t next_mr_addr_ = 0x1000;
   std::uint32_t next_rkey_ = 1;
   std::unordered_map<std::uint64_t, std::uint64_t> memory_;
-  std::deque<TxItem> txq_data_;
-  std::deque<TxItem> txq_ctrl_;
+  sim::Fifo<TxItem> txq_data_;
+  sim::Fifo<TxItem> txq_ctrl_;
+  TxItem tx_item_;  // the packet paying its tx cost (while tx_busy_)
   bool tx_busy_ = false;
   sim::Time rx_busy_ = 0;
+  /// Packets paying their rx cost. Start times only increase, so they
+  /// finish in arrival order.
+  sim::Fifo<RxItem> rxq_;
   std::uint64_t next_pkt_id_ = 1;
   Stats stats_;
   // Registered metrics (docs/METRICS.md §ib.hca); scope "node<lid>/ib.hca".

@@ -251,7 +251,7 @@ void RcQp::retransmit_from(std::uint64_t psn) {
 void RcQp::arm_rto() {
   if (rto_armed_ || inflight_.empty()) return;
   rto_armed_ = true;
-  rto_timer_ = hca_.sim().schedule(hca_.config().rto, [this] {
+  rto_timer_ = hca_.sim().schedule_fixed(hca_.config().rto, [this] {
     rto_armed_ = false;
     if (inflight_.empty()) return;
     ++stats_.rto_fires;

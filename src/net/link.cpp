@@ -108,35 +108,7 @@ void Link::drop_down(const Packet& p) {
                          p.wire_size, /*c=*/4);
 }
 
-std::shared_ptr<Packet> Link::alloc_packet(Packet&& p) {
-  // Site-local links churn through one shared_ptr<Packet> per packet on
-  // the serialize->deliver hot path; recycling the control block
-  // removes that allocation. Channel-mode (LP-boundary) packets are
-  // excluded: the destination site drops its reference on another
-  // thread, so handing the pointer back to this link's pool would race.
-  // A pooled entry is reusable only once every lambda that captured it
-  // has run (use_count back to 1).
-  if (channel_ == nullptr && !pkt_pool_.empty() &&
-      pkt_pool_.back().use_count() == 1) {
-    std::shared_ptr<Packet> sp = std::move(pkt_pool_.back());
-    pkt_pool_.pop_back();
-    *sp = std::move(p);
-    return sp;
-  }
-  return std::make_shared<Packet>(std::move(p));
-}
-
-void Link::recycle_packet(const std::shared_ptr<Packet>& pkt) {
-  if (channel_ != nullptr || pkt_pool_.size() >= kPktPoolCap) return;
-  // Drop payload/callback references now so pooling a packet never pins
-  // application data beyond its delivery.
-  pkt->payload.reset();
-  pkt->on_serialized = nullptr;
-  pkt_pool_.push_back(pkt);
-}
-
-void Link::deliver_via_channel(const std::shared_ptr<Packet>& pkt,
-                               sim::Duration delay) {
+void Link::deliver_via_channel(Packet&& p, sim::Duration delay) {
   const sim::Time arrival = sim_.now() + delay;
   // Replicate the sequential in-flight epoch check from the static
   // fault schedule: a down transition strictly after serialization end
@@ -146,7 +118,7 @@ void Link::deliver_via_channel(const std::shared_ptr<Packet>& pkt,
   const auto flap =
       std::upper_bound(down_starts_.begin(), down_starts_.end(), sim_.now());
   if (flap != down_starts_.end() && *flap <= arrival) {
-    drop_down(*pkt);
+    drop_down(p);
     return;
   }
   // Delivered-side accounting happens at push time on the sender's
@@ -155,20 +127,17 @@ void Link::deliver_via_channel(const std::shared_ptr<Packet>& pkt,
   // sequential run exactly.
   if (sim_.recorder().armed())
     sim_.recorder().record(arrival, TraceKind::kPktDeliver, name_.c_str(),
-                           pkt->id, pkt->wire_size);
+                           p.id, p.wire_size);
   ++stats_.packets_delivered;
-  stats_.bytes_delivered += pkt->wire_size;
+  stats_.bytes_delivered += p.wire_size;
   obs_.pkts_delivered->add();
-  obs_.bytes_delivered->add(pkt->wire_size);
-  // on_serialized already fired on this site; clear it here so the
-  // destination's copy never touches sender-site captures.
-  pkt->on_serialized = nullptr;
-  channel_->push(arrival, [this, pkt] {
-    // Runs on the destination site's worker at `arrival`; the sink and
-    // the packet are immutable after the push.
-    Packet delivered = *pkt;
-    sink_(std::move(delivered));
-  });
+  obs_.bytes_delivered->add(p.wire_size);
+  // The packet crosses to the destination site's worker, which runs the
+  // sink at `arrival`; on_serialized was already cleared on this site.
+  channel_->push(arrival,
+                 [this, pkt = std::make_unique<Packet>(std::move(p))]() {
+                   sink_(std::move(*pkt));
+                 });
 }
 
 void Link::start_next() {
@@ -176,93 +145,109 @@ void Link::start_next() {
     busy_ = false;
     return;
   }
-  std::deque<Packet>* q =
-      !q_control_.empty() ? &q_control_ : (!q_data_.empty() ? &q_data_ : nullptr);
+  sim::Fifo<Packet>* q = !q_control_.empty()
+                             ? &q_control_
+                             : (!q_data_.empty() ? &q_data_ : nullptr);
   if (q == nullptr) {
     busy_ = false;
     return;
   }
   busy_ = true;
-  auto pkt = alloc_packet(std::move(q->front()));
-  q->pop_front();
-  const sim::Duration ser = sim::duration_ceil(
-      static_cast<double>(pkt->wire_size) / config_.bytes_per_ns);
+  wire_ = std::move(q->front());
+  q->drop_front();
+  if (wire_.wire_size != ser_size_) {  // MTU-sized runs skip the division
+    ser_size_ = wire_.wire_size;
+    wire_ser_ = sim::duration_ceil(static_cast<double>(ser_size_) /
+                                   config_.bytes_per_ns);
+  }
   if (sim_.recorder().armed())
     sim_.recorder().record(sim_.now(), TraceKind::kPktSend, name_.c_str(),
-                           pkt->id, pkt->wire_size);
+                           wire_.id, wire_.wire_size);
   const std::uint64_t epoch = down_epoch_;
-  sim_.schedule(ser, [this, pkt, ser, epoch] {
-    queued_bytes_ -= pkt->wire_size;
-    ++stats_.packets_sent;
-    stats_.bytes_sent += pkt->wire_size;
-    obs_.pkts_sent->add();
-    obs_.bytes_sent->add(pkt->wire_size);
-    obs_.busy_ns->add(ser);
-    obs_.queued_bytes->set(static_cast<std::int64_t>(queued_bytes_));
-    if (pkt->on_serialized) pkt->on_serialized();
-    if (down_ || epoch != down_epoch_) {
-      // The flap hit while this packet was on the wire.
-      drop_down(*pkt);
-      recycle_packet(pkt);
-      start_next();
-      return;
-    }
-    // Flat config loss draws first, and only when configured, so the main
-    // RNG stream sees the exact same sequence whether or not a fault
-    // model is installed.
-    const bool lost =
-        config_.loss_rate > 0.0 && sim_.rng().chance(config_.loss_rate);
-    if (lost) {
-      ++stats_.packets_dropped_loss;
-      stats_.bytes_dropped += pkt->wire_size;
-      obs_.drops_loss->add();
-      obs_.bytes_dropped->add(pkt->wire_size);
-      sim_.recorder().record(sim_.now(), TraceKind::kPktDrop, name_.c_str(),
-                             pkt->id, pkt->wire_size, /*c=*/2);
-      recycle_packet(pkt);
-    } else if (loss_model_ && loss_model_(*pkt)) {
-      ++stats_.packets_dropped_fault;
-      stats_.bytes_dropped += pkt->wire_size;
-      obs_.drops_fault->add();
-      obs_.bytes_dropped->add(pkt->wire_size);
-      sim_.recorder().record(sim_.now(), TraceKind::kPktDrop, name_.c_str(),
-                             pkt->id, pkt->wire_size, /*c=*/3);
-      recycle_packet(pkt);
-    } else {
-      sim::Duration delay = config_.propagation + extra_delay_;
-      if (jitter_model_) {
-        const sim::Duration jitter = jitter_model_();
-        obs_.jitter_ns->observe(static_cast<std::uint64_t>(jitter));
-        delay += jitter;
-      }
-      if (channel_ != nullptr) {
-        deliver_via_channel(pkt, delay);
-      } else {
-        const std::uint64_t fly_epoch = down_epoch_;
-        sim_.schedule(delay, [this, pkt, fly_epoch] {
-          if (fly_epoch != down_epoch_) {
-            // A flap killed the packet mid-flight, even if the link is
-            // already back up by now.
-            drop_down(*pkt);
-            recycle_packet(pkt);
-            return;
-          }
-          if (sim_.recorder().armed())
-            sim_.recorder().record(sim_.now(), TraceKind::kPktDeliver,
-                                   name_.c_str(), pkt->id, pkt->wire_size);
-          ++stats_.packets_delivered;
-          stats_.bytes_delivered += pkt->wire_size;
-          obs_.pkts_delivered->add();
-          obs_.bytes_delivered->add(pkt->wire_size);
-          Packet delivered = *pkt;
-          delivered.on_serialized = nullptr;
-          recycle_packet(pkt);
-          sink_(std::move(delivered));
-        });
-      }
-    }
+  sim_.schedule_fixed(wire_ser_, [this, epoch] { finish_serialize(epoch); });
+}
+
+void Link::finish_serialize(std::uint64_t epoch) {
+  queued_bytes_ -= wire_.wire_size;
+  ++stats_.packets_sent;
+  stats_.bytes_sent += wire_.wire_size;
+  obs_.pkts_sent->add();
+  obs_.bytes_sent->add(wire_.wire_size);
+  obs_.busy_ns->add(wire_ser_);
+  obs_.queued_bytes->set(static_cast<std::int64_t>(queued_bytes_));
+  if (wire_.on_serialized) {
+    wire_.on_serialized();
+    wire_.on_serialized = nullptr;  // fires on the first link only
+  }
+  if (down_ || epoch != down_epoch_) {
+    // The flap hit while this packet was on the wire.
+    drop_down(wire_);
+    wire_.payload.reset();
     start_next();
-  });
+    return;
+  }
+  // Flat config loss draws first, and only when configured, so the main
+  // RNG stream sees the exact same sequence whether or not a fault
+  // model is installed.
+  const bool lost =
+      config_.loss_rate > 0.0 && sim_.rng().chance(config_.loss_rate);
+  if (lost) {
+    ++stats_.packets_dropped_loss;
+    stats_.bytes_dropped += wire_.wire_size;
+    obs_.drops_loss->add();
+    obs_.bytes_dropped->add(wire_.wire_size);
+    sim_.recorder().record(sim_.now(), TraceKind::kPktDrop, name_.c_str(),
+                           wire_.id, wire_.wire_size, /*c=*/2);
+    wire_.payload.reset();
+  } else if (loss_model_ && loss_model_(wire_)) {
+    ++stats_.packets_dropped_fault;
+    stats_.bytes_dropped += wire_.wire_size;
+    obs_.drops_fault->add();
+    obs_.bytes_dropped->add(wire_.wire_size);
+    sim_.recorder().record(sim_.now(), TraceKind::kPktDrop, name_.c_str(),
+                           wire_.id, wire_.wire_size, /*c=*/3);
+    wire_.payload.reset();
+  } else {
+    sim::Duration delay = config_.propagation + extra_delay_;
+    if (jitter_model_) {
+      const sim::Duration jitter = jitter_model_();
+      obs_.jitter_ns->observe(static_cast<std::uint64_t>(jitter));
+      delay += jitter;
+    }
+    if (channel_ != nullptr) {
+      deliver_via_channel(std::move(wire_), delay);
+    } else {
+      // Jitter makes the delay per-packet (and may reorder deliveries),
+      // so only a jitter-free link can use the fixed-delay lane.
+      const std::uint32_t idx = flight_.put(std::move(wire_));
+      const std::uint64_t fly_epoch = down_epoch_;
+      auto cb = [this, idx, fly_epoch] { deliver(idx, fly_epoch); };
+      if (jitter_model_) {
+        sim_.schedule(delay, cb);
+      } else {
+        sim_.schedule_fixed(delay, cb);
+      }
+    }
+  }
+  start_next();
+}
+
+void Link::deliver(std::uint32_t idx, std::uint64_t fly_epoch) {
+  Packet p = flight_.take(idx);
+  if (fly_epoch != down_epoch_) {
+    // A flap killed the packet mid-flight, even if the link is already
+    // back up by now.
+    drop_down(p);
+    return;
+  }
+  if (sim_.recorder().armed())
+    sim_.recorder().record(sim_.now(), TraceKind::kPktDeliver, name_.c_str(),
+                           p.id, p.wire_size);
+  ++stats_.packets_delivered;
+  stats_.bytes_delivered += p.wire_size;
+  obs_.pkts_delivered->add();
+  obs_.bytes_delivered->add(p.wire_size);
+  sink_(std::move(p));
 }
 
 }  // namespace ibwan::net

@@ -11,13 +11,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "net/packet.hpp"
+#include "sim/containers.hpp"
 #include "sim/engine.hpp"
 #include "sim/simulator.hpp"
 
@@ -138,11 +137,10 @@ class Link {
 
  private:
   void start_next();
+  void finish_serialize(std::uint64_t epoch);
+  void deliver(std::uint32_t idx, std::uint64_t fly_epoch);
   void drop_down(const Packet& p);
-  void deliver_via_channel(const std::shared_ptr<Packet>& pkt,
-                           sim::Duration delay);
-  std::shared_ptr<Packet> alloc_packet(Packet&& p);
-  void recycle_packet(const std::shared_ptr<Packet>& pkt);
+  void deliver_via_channel(Packet&& p, sim::Duration delay);
 
   // Registered metrics (docs/METRICS.md §net.link); scope "<name>/net.link".
   struct Obs {
@@ -170,8 +168,12 @@ class Link {
   std::function<void(Packet&&)> sink_;
   std::function<bool(const Packet&)> loss_model_;
   std::function<sim::Duration()> jitter_model_;
-  std::deque<Packet> q_control_;
-  std::deque<Packet> q_data_;
+  sim::Fifo<Packet> q_control_;
+  sim::Fifo<Packet> q_data_;
+  Packet wire_;                 // the packet being serialized (while busy_)
+  sim::Duration wire_ser_ = 0;  // serialization time of ser_size_ bytes
+  std::uint32_t ser_size_ = 0;
+  sim::Slab<Packet> flight_;    // propagating packets, by delivery index
   bool busy_ = false;
   bool down_ = false;
   std::uint64_t down_epoch_ = 0;  // bumped on every down transition
@@ -182,10 +184,6 @@ class Link {
   sim::Duration extra_delay_ = 0;
   sim::SiteEngine::Channel* channel_ = nullptr;
   std::vector<sim::Time> down_starts_;
-  /// Recycled packet allocations (site-local links only; see
-  /// Link::alloc_packet). Bounded so a burst cannot pin memory forever.
-  static constexpr std::size_t kPktPoolCap = 256;
-  std::vector<std::shared_ptr<Packet>> pkt_pool_;
   Stats stats_;
 };
 

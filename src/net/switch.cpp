@@ -2,36 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 #include <utility>
 
 #include "sim/log.hpp"
 
 namespace ibwan::net {
-
-std::shared_ptr<Packet> Switch::alloc_packet(Packet&& p) {
-  // Same recycling scheme as Link::alloc_packet: the hop-delay callback
-  // needs the packet on the heap, and reusing one control block per
-  // in-flight hop removes an allocation per forwarded packet. A pooled
-  // entry is reusable only once the lambda that captured it has run
-  // (use_count back to 1).
-  if (!pkt_pool_.empty() && pkt_pool_.back().use_count() == 1) {
-    std::shared_ptr<Packet> sp = std::move(pkt_pool_.back());
-    pkt_pool_.pop_back();
-    *sp = std::move(p);
-    return sp;
-  }
-  return std::make_shared<Packet>(std::move(p));
-}
-
-void Switch::recycle_packet(const std::shared_ptr<Packet>& pkt) {
-  if (pkt_pool_.size() >= kPktPoolCap) return;
-  // Drop payload/callback references now so pooling a packet never pins
-  // application data beyond its delivery.
-  pkt->payload.reset();
-  pkt->on_serialized = nullptr;
-  pkt_pool_.push_back(pkt);
-}
 
 void Switch::receive_wan(int edge, Packet&& p) {
   wan_buf_.emplace_back(edge, std::move(p));
@@ -56,8 +31,8 @@ void Switch::flush_wan() {
 }
 
 void Switch::receive(Packet&& p) {
-  int port = default_port_;
-  if (auto it = routes_.find(p.dst); it != routes_.end()) port = it->second;
+  int port = p.dst < routes_.size() ? routes_[p.dst] : -1;
+  if (port == -1) port = default_port_;
   if (port < 0 || port >= static_cast<int>(ports_.size())) {
     ++drops_no_route_;
     obs_drops_noroute_->add();
@@ -76,11 +51,9 @@ void Switch::receive(Packet&& p) {
   }
   ++forwarded_;
   obs_forwarded_->add();
-  Link* out = ports_[port];
-  auto shared = alloc_packet(std::move(p));
-  sim_.schedule(hop_latency_, [this, out, shared] {
-    Packet fwd = std::move(*shared);
-    recycle_packet(shared);
+  hop_q_.push_back({ports_[port], std::move(p)});
+  sim_.schedule_fixed(hop_latency_, [this] {
+    auto [out, fwd] = hop_q_.pop_front();
     out->send(std::move(fwd));
   });
 }

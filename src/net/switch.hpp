@@ -2,13 +2,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/link.hpp"
 #include "net/packet.hpp"
+#include "sim/containers.hpp"
 #include "sim/simulator.hpp"
 
 namespace ibwan::net {
@@ -34,8 +34,11 @@ class Switch {
     return static_cast<int>(ports_.size()) - 1;
   }
 
-  /// Static route: packets for `dst` leave via `port`.
-  void set_route(NodeId dst, int port) { routes_[dst] = port; }
+  /// Static route: packets for `dst` leave via `port` (-1: the default).
+  void set_route(NodeId dst, int port) {
+    if (dst >= routes_.size()) routes_.resize(std::size_t{dst} + 1, -1);
+    routes_[dst] = port;
+  }
 
   /// Fallback port for unknown destinations (the WAN uplink of a site
   /// with a single WAN attachment, or a leaf's spine uplink).
@@ -63,16 +66,19 @@ class Switch {
   std::uint64_t drops_no_route() const { return drops_no_route_; }
 
  private:
-  std::shared_ptr<Packet> alloc_packet(Packet&& p);
-  void recycle_packet(const std::shared_ptr<Packet>& pkt);
   void flush_wan();
 
   sim::Simulator& sim_;
   std::string name_;
   sim::Duration hop_latency_;
   std::vector<Link*> ports_;
-  std::unordered_map<NodeId, int> routes_;
+  /// Egress port by destination; node ids are dense (site base + index),
+  /// so a vector replaces a hash lookup per forwarded packet.
+  std::vector<int> routes_;
   int default_port_ = -1;
+  /// Packets in the hop pipeline, with their egress link. The hop
+  /// latency is constant, so they leave in arrival order.
+  sim::Fifo<std::pair<Link*, Packet>> hop_q_;
   // Conservation: forwarded_ + drops_no_route_ == packets received
   // (receive + receive_wan); written only by switch.cpp (INV001).
   std::uint64_t forwarded_ = 0;       // lint:conserved
@@ -82,11 +88,6 @@ class Switch {
   /// so a misrouted incast logs O(log drops) lines instead of one per
   /// packet.
   static constexpr std::uint64_t kNoRouteWarnLimit = 8;
-  /// Recycled forward allocations (switch hops are always site-local,
-  /// so unlike Link there is no channel-mode exclusion). Bounded so a
-  /// burst cannot pin memory forever.
-  static constexpr std::size_t kPktPoolCap = 64;
-  std::vector<std::shared_ptr<Packet>> pkt_pool_;
   /// Same-instant WAN ingress buffer (receive_wan): drained by a flush
   /// event scheduled at the arrival instant.
   std::vector<std::pair<int, Packet>> wan_buf_;

@@ -17,8 +17,11 @@ void Longbow::forward(Packet&& p, Link* out) {
     return;
   }
   obs_forwarded_->add();
-  auto shared = std::make_shared<Packet>(std::move(p));
-  sim_.schedule(latency_, [out, shared] { out->send(std::move(*shared)); });
+  pipeline_.push_back({out, std::move(p)});
+  sim_.schedule_fixed(latency_, [this] {
+    auto [link, fwd] = pipeline_.pop_front();
+    link->send(std::move(fwd));
+  });
 }
 
 LongbowPair::LongbowPair(sim::Simulator& sim_a, sim::Simulator& sim_b,

@@ -9,9 +9,11 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "net/link.hpp"
 #include "net/packet.hpp"
+#include "sim/containers.hpp"
 #include "sim/simulator.hpp"
 
 namespace ibwan::net {
@@ -56,6 +58,9 @@ class Longbow {
   sim::Duration latency_;
   Link* lan_tx_ = nullptr;
   Link* wan_tx_ = nullptr;
+  /// Packets in the pipeline, with their egress link; the latency is
+  /// constant, so they leave in arrival order.
+  sim::Fifo<std::pair<Link*, Packet>> pipeline_;
   std::uint64_t drops_no_port_ = 0;
   sim::Counter* obs_forwarded_ = nullptr;
   sim::Counter* obs_drops_no_port_ = nullptr;

@@ -22,6 +22,21 @@
 //     global sequence number keeps their ordering against heap events
 //     bit-for-bit identical to a single queue.
 //
+//   - fixed-delay lanes (schedule_fixed): one FIFO per delay value,
+//     shared by every caller that uses that delay. Because now() never
+//     decreases and seq is global, events appended to a lane are
+//     already in (time, seq) order, so only the lane's head needs a
+//     heap entry — the lane's permanent "token" slot carries the
+//     head's (time, seq) through the heap. Appending is O(1) (plus one
+//     sift when the lane was empty); firing the head re-keys the token
+//     in place with one sift_down. The same-instant FIFO is the d = 0
+//     case. Lane entries cancel lazily by generation, like the FIFO's:
+//     a cancelled head is skipped at once (the lane head is always
+//     live), a cancelled mid-lane entry when it reaches the head.
+//     Lanes are opt-in: the protocol layers use them for per-packet
+//     constant costs (serialization, hops, HCA processing, CQ latency)
+//     and the RC retransmit timer, whose delays come from a small set.
+//
 // Freed slots recycle through a free list and callbacks are
 // InlineFunction (see inline_function.hpp), so steady-state traffic —
 // schedule/fire/cancel churn with captures up to 48 bytes — runs with
@@ -37,6 +52,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/containers.hpp"
 #include "sim/inline_function.hpp"
 #include "sim/metrics.hpp"
 #include "sim/rng.hpp"
@@ -99,28 +115,64 @@ class Simulator {
     return make_id(slot, s.gen);
   }
 
+  /// Schedules `cb` to run `d` ns from now on the fixed-delay lane for
+  /// `d`. Fires in exactly the (time, seq) order schedule() would give;
+  /// it is cheaper when many pending events share a few delay values.
+  /// Each distinct `d` keeps a lane for the rest of the run, so callers
+  /// must draw `d` from a small set (per-component constants, packet
+  /// serialization times).
+  template <class F>
+  EventId schedule_fixed(Duration d, F&& cb) {
+    if (d == 0) return schedule_at(now_, std::forward<F>(cb));
+    const std::uint32_t lane = lane_for(d);  // may add a token slot
+    const std::uint32_t slot = alloc_slot();
+    Slot& s = slots_[slot];
+    if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+      s.cb = std::forward<F>(cb);
+    } else {
+      s.cb.emplace(std::forward<F>(cb));
+    }
+    const std::uint64_t seq = next_seq_++;
+    assert(seq < (1ull << kSeqBits) && "event sequence space exhausted");
+    s.pos = kInLane | lane;
+    Lane& l = lanes_[lane];
+    l.q.push_back(LaneEntry{now_ + d, (seq << kSlotBits) | slot, s.gen});
+    ++lane_live_;
+    if (l.q.size() == 1) {  // the lane was empty: its token joins the heap
+      ++lanes_active_;
+      heap_.emplace_back();
+      sift_up(heap_.size() - 1,
+              HeapEntry{now_ + d, (seq << kSlotBits) | l.token});
+    }
+    return make_id(slot, s.gen);
+  }
+
   /// Cancels a pending event in place (O(log n) for future events, O(1)
-  /// for same-instant ones). Cancelling an already-run or unknown id is
-  /// an O(1) no-op (timers commonly race with the work they guard); it
-  /// leaves no residue behind, and the captured state is destroyed
-  /// immediately.
+  /// for same-instant and mid-lane ones). Cancelling an already-run or
+  /// unknown id is an O(1) no-op (timers commonly race with the work
+  /// they guard); it leaves no residue behind, and the captured state is
+  /// destroyed immediately.
   void cancel(EventId id) {
     const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
     const auto gen = static_cast<std::uint32_t>(id >> 32);
     // A generation match implies the event is pending: both firing and
     // cancellation bump the slot's generation when they release it.
-    if (slot >= slots_.size() || slots_[slot].gen != gen) return;
+    // Lane token slots are never pending events.
+    if (slot >= slots_.size() || slots_[slot].gen != gen || gen >= kLaneGen)
+      return;
     Slot& s = slots_[slot];
-    if (s.pos == kInFifo) {
+    const std::uint32_t pos = s.pos;
+    if (pos == kInFifo) {
       // The FIFO entry stays behind; the generation bump below marks it
       // stale and the drain skips it. Bounded: the FIFO never outlives
       // the current instant.
       --fifo_live_;
-    } else {
-      remove_at(s.pos);
+    } else if (pos < kInLane) {
+      remove_at(pos);
     }
     s.cb.reset();
     free_slot(slot);
+    if (pos != kInFifo && pos >= kInLane) cancel_in_lane(pos & ~kInLane, slot);
   }
 
   /// Runs until the event queue drains.
@@ -178,13 +230,25 @@ class Simulator {
   std::uint64_t events_executed() const { return executed_; }
 
   /// Number of events currently pending (cancelled events excluded).
-  std::size_t pending() const { return heap_.size() + fifo_live_; }
+  std::size_t pending() const {
+    return heap_.size() - lanes_active_ + lane_live_ + fifo_live_;
+  }
 
   /// Total callback slots ever allocated. Bounded by the maximum number
   /// of *concurrently* pending events — it must not grow with the number
   /// of schedule/fire/cancel operations (regression hook for the old
   /// tombstone-set leak).
   std::size_t slot_capacity() const { return slots_.size(); }
+
+  /// Lane entries allocated across all fixed-delay lanes. Bounded by the
+  /// peak number of entries a lane held at once (live or lazily
+  /// cancelled) — the consumed prefix of a lane that never drains must
+  /// not accumulate (regression hook).
+  std::size_t lane_capacity() const {
+    std::size_t n = 0;
+    for (const Lane& l : lanes_) n += l.q.capacity();
+    return n;
+  }
 
   /// Simulator-owned RNG so all stochastic behaviour shares one seed.
   Rng& rng() { return rng_; }
@@ -228,6 +292,13 @@ class Simulator {
   static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
   static constexpr std::uint32_t kNone = 0xffffffffu;
   static constexpr std::uint32_t kInFifo = 0xfffffffeu;
+  // Slot::pos of a pending lane entry: kInLane | lane index (heap
+  // positions stay below 2^kSlotBits).
+  static constexpr std::uint32_t kInLane = 0x80000000u;
+  // Slot::gen of a lane's token slot: kLaneGen | lane index. Event slot
+  // generations wrap below kLaneGen, so firing can tell the two apart
+  // from the generation alone.
+  static constexpr std::uint32_t kLaneGen = 0x80000000u;
   static constexpr Time kNoEvent = ~Time{0};
 
   struct HeapEntry {
@@ -246,11 +317,27 @@ class Simulator {
 
   struct Slot {
     std::uint32_t gen = 1;
-    std::uint32_t pos = kNone;  // heap position / kInFifo while pending,
-                                // free-list link while free
+    std::uint32_t pos = kNone;  // heap position / kInFifo / kInLane|lane
+                                // while pending, free-list link while free
     Callback cb;
   };
   static_assert(sizeof(Slot) == 64, "one event slot per cache line");
+
+  struct LaneEntry {
+    Time time;
+    std::uint64_t key;  // same packing as HeapEntry::key
+    std::uint32_t gen;  // stale (cancelled) when != slot gen
+  };
+
+  struct Lane {
+    Fifo<LaneEntry, 8> q;     // head is live whenever the lane is non-empty
+    std::uint32_t token = 0;  // slot whose heap entry stands for the head
+  };
+
+  struct LaneIndexEntry {
+    Duration d = 0;  // 0 = empty bucket (d = 0 never gets a lane)
+    std::uint32_t lane = 0;
+  };
 
   static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(gen) << 32) | slot;
@@ -258,6 +345,85 @@ class Simulator {
 
   static bool earlier(const HeapEntry& a, const HeapEntry& b) {
     return a.time != b.time ? a.time < b.time : a.key < b.key;
+  }
+
+  /// Heap entry for lane `l`'s head: the head's (time, seq), carried by
+  /// the lane's token slot so sifting tracks the token's position.
+  static HeapEntry lane_token(const Lane& l) {
+    const LaneEntry& h = l.q.front();
+    return HeapEntry{h.time, (h.key & ~std::uint64_t{kSlotMask}) | l.token};
+  }
+
+  bool lane_entry_live(const LaneEntry& e) const {
+    return slots_[static_cast<std::uint32_t>(e.key) & kSlotMask].gen == e.gen;
+  }
+
+  /// Lane index for delay `d` (open addressing, Fibonacci hash).
+  std::uint32_t lane_for(Duration d) {
+    if (!lane_index_.empty()) {
+      const std::size_t mask = lane_index_.size() - 1;
+      for (std::size_t i = (d * 0x9e3779b97f4a7c15ull) >> lane_shift_;;
+           i = (i + 1) & mask) {
+        if (lane_index_[i].d == d) return lane_index_[i].lane;
+        if (lane_index_[i].d == 0) break;
+      }
+    }
+    return add_lane(d);
+  }
+
+  std::uint32_t add_lane(Duration d) {
+    // Every lane owns a token slot, so alloc_slot()'s bound also keeps
+    // kInLane | lane clear of kInFifo and kNone.
+    const auto lane = static_cast<std::uint32_t>(lanes_.size());
+    const std::uint32_t token = alloc_slot();
+    slots_[token].gen = kLaneGen | lane;
+    slots_[token].pos = kNone;
+    lanes_.push_back(Lane{{}, token});
+    if (2 * lanes_.size() > lane_index_.size()) {
+      // Rehash at load 1/2 so probes stay short.
+      std::vector<LaneIndexEntry> old;
+      old.swap(lane_index_);
+      lane_index_.resize(old.empty() ? 16 : 2 * old.size());
+      lane_shift_ = 64;
+      for (std::size_t n = lane_index_.size(); n > 1; n >>= 1) --lane_shift_;
+      for (const LaneIndexEntry& e : old) {
+        if (e.d != 0) insert_lane_index(e);
+      }
+    }
+    insert_lane_index(LaneIndexEntry{d, lane});
+    return lane;
+  }
+
+  void insert_lane_index(const LaneIndexEntry& e) {
+    const std::size_t mask = lane_index_.size() - 1;
+    std::size_t i = (e.d * 0x9e3779b97f4a7c15ull) >> lane_shift_;
+    while (lane_index_[i].d != 0) i = (i + 1) & mask;
+    lane_index_[i] = e;
+  }
+
+  /// Pops cancelled entries off lane `l`'s front so its head is live.
+  void skip_stale(Lane& l) {
+    while (!l.q.empty() && !lane_entry_live(l.q.front())) l.q.drop_front();
+  }
+
+  /// A pending lane entry was just cancelled (its slot already freed).
+  /// Mid-lane entries stay behind until they reach the head; a
+  /// cancelled head is skipped now and the token re-keyed or retired.
+  void cancel_in_lane(std::uint32_t lane, std::uint32_t slot) {
+    --lane_live_;
+    Lane& l = lanes_[lane];
+    if ((static_cast<std::uint32_t>(l.q.front().key) & kSlotMask) != slot) {
+      return;
+    }
+    skip_stale(l);
+    const std::uint32_t pos = slots_[l.token].pos;
+    if (l.q.empty()) {
+      --lanes_active_;
+      slots_[l.token].pos = kNone;
+      remove_at(pos);
+    } else {
+      sift_down(pos, lane_token(l));  // the new head is strictly later
+    }
   }
 
   /// Time of the next live event (kNoEvent if none), popping any stale
@@ -322,7 +488,9 @@ class Simulator {
 
   void free_slot(std::uint32_t slot) {
     Slot& s = slots_[slot];
-    ++s.gen;  // invalidates outstanding EventIds for this slot
+    // Invalidates outstanding EventIds for this slot; generations wrap
+    // below kLaneGen.
+    if (++s.gen == kLaneGen) s.gen = 1;
     s.pos = free_head_;
     free_head_ = slot;
   }
@@ -388,6 +556,10 @@ class Simulator {
     const HeapEntry top = heap_[0];
     const std::uint32_t slot = top.slot();
     Slot& s = slots_[slot];
+    if (s.gen >= kLaneGen) {
+      fire_lane(s.gen & ~kLaneGen);
+      return;
+    }
     assert(top.time >= now_);
     now_ = top.time;
     Callback cb = std::move(s.cb);
@@ -403,6 +575,31 @@ class Simulator {
     cb();
   }
 
+  /// Fires the head of lane `lane`, whose token is the heap root.
+  void fire_lane(std::uint32_t lane) {
+    Lane& l = lanes_[lane];
+    const LaneEntry e = l.q.front();
+    l.q.drop_front();
+    --lane_live_;
+    skip_stale(l);
+    if (!l.q.empty()) {
+      sift_down(0, lane_token(l));  // re-key the root in place
+    } else {
+      --lanes_active_;
+      slots_[l.token].pos = kNone;
+      const HeapEntry moved = heap_.back();
+      heap_.pop_back();
+      if (!heap_.empty()) sift_down(0, moved);
+    }
+    assert(e.time >= now_);
+    now_ = e.time;
+    const std::uint32_t slot = static_cast<std::uint32_t>(e.key) & kSlotMask;
+    Callback cb = std::move(slots_[slot].cb);
+    free_slot(slot);
+    ++executed_;
+    cb();
+  }
+
   std::vector<HeapEntry> heap_;
   std::vector<FifoEntry> fifo_;
   std::size_t fifo_head_ = 0;
@@ -410,6 +607,11 @@ class Simulator {
   Time fifo_time_ = 0;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNone;
+  std::vector<Lane> lanes_;
+  std::vector<LaneIndexEntry> lane_index_;  // power-of-two buckets
+  unsigned lane_shift_ = 64;                // 64 - log2(buckets)
+  std::size_t lane_live_ = 0;     // pending lane entries
+  std::size_t lanes_active_ = 0;  // lane tokens in the heap
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;

@@ -10,6 +10,7 @@
 #include <optional>
 
 #include "ib/verbs.hpp"
+#include "sim/containers.hpp"
 #include "sim/simulator.hpp"
 
 namespace ibwan::ib {
@@ -39,20 +40,26 @@ class Cq {
   std::uint64_t completions() const { return completions_; }
 
   /// Internal: HCA-side delivery after `delay` ns of completion latency.
+  /// The CQE waits in a slab so the event captures only {this, index}
+  /// and fits the engine's inline callback buffer.
   void push_after(sim::Duration delay, Cqe e) {
-    sim_.schedule_fixed(delay, [this, e] {
-      ++completions_;
-      if (callback_) {
-        callback_(e);
-      } else {
-        queue_.push_back(e);
-      }
-    });
+    const std::uint32_t idx = pending_.put(std::move(e));
+    sim_.schedule_fixed(delay, [this, idx] { land(pending_.take(idx)); });
   }
 
  private:
+  void land(Cqe e) {
+    ++completions_;
+    if (callback_) {
+      callback_(e);
+    } else {
+      queue_.push_back(std::move(e));
+    }
+  }
+
   sim::Simulator& sim_;
   std::function<void(const Cqe&)> callback_;
+  sim::Slab<Cqe> pending_;  // CQEs paying their completion latency
   std::deque<Cqe> queue_;
   std::uint64_t completions_ = 0;
 };

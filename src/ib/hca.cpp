@@ -8,8 +8,11 @@
 namespace ibwan::ib {
 
 Hca::Hca(net::Node& node, HcaConfig config)
-    : node_(node), config_(config) {
+    : node_(node), config_(config), qp_index_(1, nullptr) {
   node_.set_receiver([this](net::Packet&& p) { on_node_packet(std::move(p)); });
+  if (net::Link* up = node_.uplink()) {
+    up->set_serialized_hook([this](std::uint32_t tag) { on_serialized(tag); });
+  }
   auto& m = sim().metrics();
   const std::string scope = "node" + std::to_string(lid()) + "/ib.hca";
   obs_pkts_tx_ = &m.counter(scope, "pkts_tx", sim::MetricUnit::kPackets);
@@ -21,7 +24,7 @@ Hca::Hca(net::Node& node, HcaConfig config)
 RcQp& Hca::create_rc_qp(Cq& send_cq, Cq& recv_cq) {
   auto qp = std::make_unique<RcQp>(*this, next_qpn_++, send_cq, recv_cq);
   RcQp& ref = *qp;
-  qp_index_[ref.qpn()] = qp.get();
+  qp_index_.push_back(qp.get());  // qpns are dense: 1, 2, 3...
   qps_.push_back(std::move(qp));
   return ref;
 }
@@ -29,9 +32,15 @@ RcQp& Hca::create_rc_qp(Cq& send_cq, Cq& recv_cq) {
 UdQp& Hca::create_ud_qp(Cq& send_cq, Cq& recv_cq) {
   auto qp = std::make_unique<UdQp>(*this, next_qpn_++, send_cq, recv_cq);
   UdQp& ref = *qp;
-  qp_index_[ref.qpn()] = qp.get();
+  qp_index_.push_back(qp.get());
   qps_.push_back(std::move(qp));
   return ref;
+}
+
+void Hca::destroy_qp(Qpn qpn) {
+  assert(qpn < qp_index_.size() && qp_index_[qpn] != nullptr);
+  qp_index_[qpn] = nullptr;
+  std::erase_if(qps_, [qpn](const auto& qp) { return qp->qpn() == qpn; });
 }
 
 Mr Hca::register_mr(std::uint64_t length) {
@@ -41,16 +50,34 @@ Mr Hca::register_mr(std::uint64_t length) {
   return mr;
 }
 
-void Hca::transmit(Lid dst, std::shared_ptr<const IbPacket> pkt,
-                   std::uint32_t wire_size, bool first_of_msg,
-                   std::function<void()> on_serialized, bool control) {
-  TxItem item{.dst = dst,
-              .pkt = std::move(pkt),
-              .wire_size = wire_size,
-              .first_of_msg = first_of_msg,
-              .control = control,
-              .on_serialized = std::move(on_serialized)};
-  (control ? txq_ctrl_ : txq_data_).push_back(std::move(item));
+void Hca::transmit(Lid dst, std::shared_ptr<const IbPacket> head,
+                   std::uint32_t count, std::uint32_t header_bytes,
+                   bool control) {
+  assert(count > 0);
+  const IbPacket* first = head.get();
+  enqueue(TxItem{.owner = std::move(head),
+                 .next = first,
+                 .dst = dst,
+                 .left = count,
+                 .header_bytes = header_bytes,
+                 .control = control});
+}
+
+void Hca::transmit_datagram(Lid dst, std::shared_ptr<const IbPacket> pkt,
+                            std::uint32_t header_bytes, Cq& cq, Cqe cqe) {
+  const IbPacket* first = pkt.get();
+  const std::uint32_t slot =
+      on_wire_.put(WireCompletion{.cq = &cq, .cqe = std::move(cqe)});
+  enqueue(TxItem{.owner = std::move(pkt),
+                 .next = first,
+                 .dst = dst,
+                 .left = 1,
+                 .header_bytes = header_bytes,
+                 .tx_tag = slot + 1});
+}
+
+void Hca::enqueue(TxItem&& item) {
+  (item.control ? txq_ctrl_ : txq_data_).push_back(std::move(item));
   if (!tx_busy_) tx_drain();
 }
 
@@ -63,27 +90,40 @@ void Hca::tx_drain() {
     return;
   }
   tx_busy_ = true;
-  tx_item_ = std::move(q->front());
-  q->drop_front();
+  // Cut the next packet off the run at the head of the queue.
+  TxItem& run = q->front();
+  const IbPacket* hdr = run.next;
+  tx_pkt_.dst = run.dst;
+  tx_pkt_.wire_size = hdr->payload_bytes + run.header_bytes;
+  tx_pkt_.id = next_pkt_id_++;
+  tx_pkt_.tx_tag = run.tx_tag;
+  tx_pkt_.control = run.control;
   // Control packets are responder-generated; they skip the WQE fetch.
   sim::Duration cost = config_.pkt_overhead;
-  if (tx_item_.first_of_msg && !tx_item_.control) cost += config_.wqe_overhead;
+  if (hdr->first && !run.control) cost += config_.wqe_overhead;
+  if (--run.left == 0) {
+    tx_pkt_.payload = std::shared_ptr<const void>(std::move(run.owner), hdr);
+    q->drop_front();
+  } else {
+    tx_pkt_.payload = std::shared_ptr<const void>(run.owner, hdr);
+    ++run.next;
+  }
   ++stats_.pkts_tx;
   obs_pkts_tx_->add();
-  const std::uint64_t id = next_pkt_id_++;
-  sim().schedule_fixed(cost, [this, id] { tx_send(id); });
+  sim().schedule_fixed(cost, [this] { tx_send(); });
 }
 
-void Hca::tx_send(std::uint64_t id) {
-  net::Packet p;
-  p.dst = tx_item_.dst;
-  p.wire_size = tx_item_.wire_size;
-  p.id = id;
-  p.control = tx_item_.control;
-  p.payload = std::move(tx_item_.pkt);
-  p.on_serialized = std::move(tx_item_.on_serialized);
-  node_.send(std::move(p));
+void Hca::tx_send() {
+  const std::uint32_t tag = tx_pkt_.tx_tag;
+  if (!node_.send(std::move(tx_pkt_)) && tag != 0) {
+    on_wire_.take(tag - 1);  // buffer drop: the datagram never completes
+  }
   tx_drain();
+}
+
+void Hca::on_serialized(std::uint32_t tx_tag) {
+  WireCompletion w = on_wire_.take(tx_tag - 1);
+  w.cq->push_after(config_.cqe_latency, std::move(w.cqe));
 }
 
 void Hca::on_node_packet(net::Packet&& p) {
@@ -106,15 +146,16 @@ void Hca::on_node_packet(net::Packet&& p) {
 
 void Hca::rx_process() {
   const RxItem item = rxq_.pop_front();
-  auto it = qp_index_.find(item.pkt->dst_qpn);
-  if (it == qp_index_.end()) {
+  const Qpn qpn = item.pkt->dst_qpn;
+  QpBase* qp = qpn < qp_index_.size() ? qp_index_[qpn] : nullptr;
+  if (qp == nullptr) {
     ++stats_.pkts_unroutable;
     obs_pkts_unroutable_->add();
     IBWAN_WARN(sim().now(), "hca", "lid=%u: packet for unknown qpn=%u", lid(),
-               item.pkt->dst_qpn);
+               qpn);
     return;
   }
-  it->second->handle_packet(*item.pkt, item.src);
+  qp->handle_packet(*item.pkt, item.src);
 }
 
 }  // namespace ibwan::ib

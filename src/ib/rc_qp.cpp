@@ -159,35 +159,40 @@ void RcQp::start_message(const SendWr& wr, bool internal,
 
 void RcQp::emit_packets(const InflightMsg& m, std::uint64_t from_psn,
                         std::uint64_t read_wr_id) {
+  // One run: the headers of psn from_psn..end_psn in a single array,
+  // which the HCA cuts into packets one engine turn at a time.
   const std::uint32_t mtu = hca_.config().mtu;
-  for (std::uint64_t psn = from_psn; psn <= m.end_psn; ++psn) {
-    const std::uint64_t idx = psn - m.start_psn;
-    const std::uint64_t offset = idx * mtu;
-    const std::uint32_t payload = static_cast<std::uint32_t>(
+  const auto n = static_cast<std::uint32_t>(m.end_psn - from_psn + 1);
+  std::shared_ptr<IbPacket[]> run = std::make_shared<IbPacket[]>(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint64_t psn = from_psn + i;
+    const std::uint64_t offset = (psn - m.start_psn) * mtu;
+    IbPacket& pkt = run[i];
+    pkt.type = IbPacketType::kData;
+    pkt.dst_qpn = remote_qpn_;
+    pkt.src_qpn = qpn_;
+    pkt.op = m.wr.opcode;
+    pkt.msg_seq = m.msg_seq;
+    pkt.psn = psn;
+    pkt.payload_bytes = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(mtu, m.wr.length - offset));
-    auto pkt = std::make_shared<IbPacket>();
-    pkt->type = IbPacketType::kData;
-    pkt->dst_qpn = remote_qpn_;
-    pkt->src_qpn = qpn_;
-    pkt->op = m.wr.opcode;
-    pkt->msg_seq = m.msg_seq;
-    pkt->psn = psn;
-    pkt->payload_bytes = payload;
-    pkt->first = (psn == m.start_psn);
-    pkt->last = (psn == m.end_psn);
-    pkt->offset = offset;
-    pkt->remote_addr = m.wr.remote_addr;
-    pkt->total_length = m.wr.length;
-    pkt->imm = m.wr.imm;
-    pkt->has_imm = (m.wr.opcode == Opcode::kSend ||
-                    m.wr.opcode == Opcode::kRdmaWriteWithImm);
-    pkt->read_wr_id = read_wr_id;
-    pkt->atomic_value = m.wr.atomic_operand;
-    pkt->atomic_compare = m.wr.atomic_compare;
-    if (pkt->last) pkt->app_payload = m.wr.app_payload;
-    hca_.transmit(remote_lid_, std::move(pkt), payload + kRcHeaderBytes,
-                  /*first_of_msg=*/psn == m.start_psn);
+    pkt.first = (psn == m.start_psn);
+    pkt.last = (psn == m.end_psn);
+    pkt.offset = offset;
+    pkt.remote_addr = m.wr.remote_addr;
+    pkt.total_length = m.wr.length;
+    pkt.imm = m.wr.imm;
+    pkt.has_imm = (m.wr.opcode == Opcode::kSend ||
+                   m.wr.opcode == Opcode::kRdmaWriteWithImm);
+    pkt.read_wr_id = read_wr_id;
+    pkt.atomic_value = m.wr.atomic_operand;
+    pkt.atomic_compare = m.wr.atomic_compare;
   }
+  run[n - 1].app_payload = m.wr.app_payload;  // psn end_psn carries it
+  const IbPacket* head = run.get();
+  hca_.transmit(remote_lid_,
+                std::shared_ptr<const IbPacket>(std::move(run), head), n,
+                kRcHeaderBytes);
 }
 
 void RcQp::handle_ack(std::uint64_t ack_psn) {
@@ -364,8 +369,8 @@ void RcQp::send_read_request(const SendWr& wr, int retries) {
   pkt->remote_addr = wr.remote_addr;
   pkt->total_length = wr.length;
   pkt->read_wr_id = wr.wr_id;
-  hca_.transmit(remote_lid_, std::move(pkt), kRcHeaderBytes,
-                /*first_of_msg=*/true);
+  pkt->first = pkt->last = true;  // a one-packet WQE: pays the WQE fetch
+  hca_.transmit(remote_lid_, std::move(pkt), 1, kRcHeaderBytes);
   // Requests are not covered by the PSN stream; a per-read timer retries
   // if the response never starts (request lost on the wire), up to the
   // QP retry budget — then the whole QP faults.
@@ -488,8 +493,7 @@ void RcQp::send_ack(IbPacketType type) {
   if (sim::FlightRecorder& fr = hca_.sim().recorder(); fr.armed())
     fr.record(hca_.sim().now(), sim::TraceKind::kAckSend, trace_tag_,
               expected_psn_);
-  hca_.transmit(remote_lid_, std::move(pkt), kAckBytes,
-                /*first_of_msg=*/false, /*on_serialized=*/{},
+  hca_.transmit(remote_lid_, std::move(pkt), 1, kAckBytes,
                 /*control=*/true);
 }
 

@@ -41,18 +41,11 @@ void UdQp::post_send(const SendWr& wr, UdDest dest) {
   // UD completion semantics: the WQE is done once the datagram is on the
   // wire — no acknowledgement exists. This is what makes Figure 4's UD
   // bandwidth independent of WAN delay.
-  const std::uint64_t wr_id = wr.wr_id;
-  const std::uint64_t len = wr.length;
-  auto on_wire = [this, wr_id, len] {
-    send_cq_->push_after(hca_.config().cqe_latency,
+  hca_.transmit_datagram(dest.lid, std::move(pkt), kUdHeaderBytes, *send_cq_,
                          Cqe{.type = CqeType::kSendComplete,
-                             .wr_id = wr_id,
+                             .wr_id = wr.wr_id,
                              .qpn = qpn_,
-                             .byte_len = len});
-  };
-  hca_.transmit(dest.lid, std::move(pkt),
-                static_cast<std::uint32_t>(wr.length) + kUdHeaderBytes,
-                /*first_of_msg=*/true, std::move(on_wire));
+                             .byte_len = wr.length});
 }
 
 void UdQp::post_recv(const RecvWr& wr) { rq_.push_back(wr); }

@@ -1,4 +1,12 @@
 // IB wire packet descriptor (internal to the ib module and its tests).
+//
+// One IbPacket is the header of one packet on the wire. RC data headers
+// are built a message (or a retransmitted psn range) at a time, into one
+// immutable array: the run the HCA cuts into packets (ib/hca.hpp). Each
+// net::Packet's payload is an aliasing pointer to its own header, so the
+// array is freed when the last of its packets is consumed or dropped.
+// Receivers read a header only during handle_packet; what outlives the
+// packet (app_payload) they copy out.
 #pragma once
 
 #include <cstdint>

@@ -29,7 +29,11 @@ bool partitionable(const sim::SiteEngine& engine, const TopologyConfig& topo) {
 
 std::string site_letter(int site) {
   if (site < 26) return std::string(1, static_cast<char>('a' + site));
-  return "s" + std::to_string(site);
+  // Appended rather than `"s" + std::to_string(site)`: that operator+
+  // overload trips a -Wrestrict false positive in GCC 12's libstdc++.
+  std::string name = "s";
+  name += std::to_string(site);
+  return name;
 }
 
 void check_topology(const TopologyConfig& topo) {

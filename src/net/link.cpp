@@ -133,7 +133,7 @@ void Link::deliver_via_channel(Packet&& p, sim::Duration delay) {
   obs_.pkts_delivered->add();
   obs_.bytes_delivered->add(p.wire_size);
   // The packet crosses to the destination site's worker, which runs the
-  // sink at `arrival`; on_serialized was already cleared on this site.
+  // sink at `arrival`; its tx_tag was already reported on this site.
   channel_->push(arrival,
                  [this, pkt = std::make_unique<Packet>(std::move(p))]() {
                    sink_(std::move(*pkt));
@@ -175,9 +175,9 @@ void Link::finish_serialize(std::uint64_t epoch) {
   obs_.bytes_sent->add(wire_.wire_size);
   obs_.busy_ns->add(wire_ser_);
   obs_.queued_bytes->set(static_cast<std::int64_t>(queued_bytes_));
-  if (wire_.on_serialized) {
-    wire_.on_serialized();
-    wire_.on_serialized = nullptr;  // fires on the first link only
+  if (wire_.tx_tag != 0) {
+    if (serialized_hook_) serialized_hook_(wire_.tx_tag);
+    wire_.tx_tag = 0;  // reported by the first link only
   }
   if (down_ || epoch != down_epoch_) {
     // The flap hit while this packet was on the wire.

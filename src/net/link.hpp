@@ -68,8 +68,17 @@ class Link {
     sink_ = std::move(sink);
   }
 
-  /// Enqueues a packet. Returns false when dropped (buffer overflow).
+  /// Enqueues a packet. Returns false when dropped (buffer overflow);
+  /// a dropped packet's tx_tag is never reported.
   bool send(Packet&& p);
+
+  /// Transmit-completion hook: called with the packet's tx_tag when a
+  /// packet with a nonzero tag finishes serializing onto this link
+  /// (whether or not it then survives the flight). The tag is cleared as
+  /// the packet leaves, so only the first link reports it.
+  void set_serialized_hook(std::function<void(std::uint32_t)> hook) {
+    serialized_hook_ = std::move(hook);
+  }
 
   /// Additional one-way delay (Longbow emulated distance). Takes effect
   /// for packets serialized after the call.
@@ -166,6 +175,7 @@ class Link {
   std::string name_;
   Obs obs_;
   std::function<void(Packet&&)> sink_;
+  std::function<void(std::uint32_t)> serialized_hook_;
   std::function<bool(const Packet&)> loss_model_;
   std::function<sim::Duration()> jitter_model_;
   sim::Fifo<Packet> q_control_;

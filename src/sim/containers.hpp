@@ -11,7 +11,8 @@
 //     and memory is O(current occupancy).
 //
 //   - Slab<T>: index-addressed storage for objects whose release order
-//     is not FIFO (packets in flight on a jittered link). Elements live
+//     is not FIFO (packets in flight on a jittered link, CQEs paying
+//     their latency, UD completions awaiting the wire). Elements live
 //     in fixed-size chunks, so growth never moves a live element; freed
 //     indices recycle LIFO. Chunks live as long as the slab, so memory
 //     is O(peak occupancy).
@@ -168,6 +169,9 @@ class Slab {
     free_.push_back(idx);
     return v;
   }
+
+  /// Live elements.
+  std::size_t size() const { return chunks_.size() * kChunk - free_.size(); }
 
  private:
   static constexpr std::uint32_t kChunk = 32;

@@ -87,17 +87,82 @@ TEST(Link, ExtraDelayDoesNotAffectThroughput) {
   }
 }
 
-TEST(Link, OnSerializedFiresAtWireCompletion) {
+TEST(Link, SerializedHookFiresAtWireCompletion) {
   Simulator sim;
   Link link(sim, {.bytes_per_ns = 1.0, .propagation = 500}, "l");
   Time serialized_at = 0, delivered_at = 0;
-  link.set_sink([&](Packet&&) { delivered_at = sim.now(); });
+  std::vector<std::uint32_t> tags;
+  link.set_serialized_hook([&](std::uint32_t tag) {
+    serialized_at = sim.now();
+    tags.push_back(tag);
+  });
+  std::uint32_t delivered_tag = 99;
+  link.set_sink([&](Packet&& p) {
+    delivered_at = sim.now();
+    delivered_tag = p.tx_tag;
+  });
   Packet p = make_packet(100);
-  p.on_serialized = [&] { serialized_at = sim.now(); };
+  p.tx_tag = 7;
   link.send(std::move(p));
+  link.send(make_packet(100));  // untagged: never reported
   sim.run();
   EXPECT_EQ(serialized_at, 100u);
-  EXPECT_EQ(delivered_at, 600u);
+  EXPECT_EQ(tags, std::vector<std::uint32_t>{7});
+  EXPECT_EQ(delivered_at, 700u);  // the second packet, 100 ns behind
+  EXPECT_EQ(delivered_tag, 0u);   // cleared as it left the first link
+}
+
+TEST(Link, SerializedHookFiresOnFirstLinkOnly) {
+  Simulator sim;
+  Link first(sim, {.bytes_per_ns = 1.0, .propagation = 10}, "first");
+  Link second(sim, {.bytes_per_ns = 1.0, .propagation = 10}, "second");
+  int first_fired = 0, second_fired = 0, delivered = 0;
+  first.set_serialized_hook([&](std::uint32_t) { ++first_fired; });
+  second.set_serialized_hook([&](std::uint32_t) { ++second_fired; });
+  first.set_sink([&](Packet&& p) { second.send(std::move(p)); });
+  second.set_sink([&](Packet&&) { ++delivered; });
+  Packet p = make_packet(100);
+  p.tx_tag = 1;
+  first.send(std::move(p));
+  sim.run();
+  EXPECT_EQ(first_fired, 1);
+  EXPECT_EQ(second_fired, 0);
+  EXPECT_EQ(delivered, 1);
+}
+
+TEST(Link, SerializedHookSkipsBufferDrops) {
+  Simulator sim;
+  Link link(sim, {.bytes_per_ns = 1.0, .propagation = 0, .buffer_bytes = 150},
+            "l");
+  std::vector<std::uint32_t> tags;
+  link.set_serialized_hook([&](std::uint32_t tag) { tags.push_back(tag); });
+  link.set_sink([](Packet&&) {});
+  Packet a = make_packet(100);
+  a.tx_tag = 1;
+  Packet b = make_packet(100);
+  b.tx_tag = 2;
+  EXPECT_TRUE(link.send(std::move(a)));
+  EXPECT_FALSE(link.send(std::move(b)));  // 200 > 150: dropped unserialized
+  sim.run();
+  EXPECT_EQ(tags, std::vector<std::uint32_t>{1});
+}
+
+TEST(Link, SerializedHookFiresForPacketKilledByFlap) {
+  Simulator sim;
+  Link link(sim, {.bytes_per_ns = 1.0, .propagation = 500}, "l");
+  int fired = 0, delivered = 0;
+  link.set_serialized_hook([&](std::uint32_t) { ++fired; });
+  link.set_sink([&](Packet&&) { ++delivered; });
+  Packet p = make_packet(100);
+  p.tx_tag = 3;
+  link.send(std::move(p));
+  sim.schedule(50, [&] { link.set_down(true); });  // mid-serialization
+  sim.schedule(80, [&] { link.set_down(false); });
+  sim.run();
+  // The datagram reached the wire, so it completes, though it is lost.
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(link.stats().packets_dropped_down, 1u);
 }
 
 TEST(Link, FiniteBufferDropsOverflow) {

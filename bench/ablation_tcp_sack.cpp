@@ -13,32 +13,17 @@ namespace {
 
 double throughput(bool sack, double loss, sim::Duration delay,
                   std::uint64_t bytes, std::uint64_t seed) {
-  // Built directly (not via Testbed): loss injection is a fabric-build
-  // parameter.
-  sim::Simulator sim;
-  sim.seed(seed);
-  net::FabricConfig fc = core::fabric_defaults(1, 1);
-  fc.longbow.loss_rate = loss;
-  net::Fabric fabric(sim, fc);
-  fabric.set_wan_delay(delay);
-  ib::Hca hca_a(fabric.node(0), {});
-  ib::Hca hca_b(fabric.node(1), {});
-  ipoib::IpoibDevice dev_a(hca_a, {});
-  ipoib::IpoibDevice dev_b(hca_b, {});
-  ipoib::IpoibDevice::link(dev_a, dev_b);
-  tcp::TcpConfig cfg = core::tcp_window();
-  cfg.sack = sack;
-  tcp::TcpStack client(dev_a, cfg);
-  tcp::TcpStack server(dev_b, cfg);
-  server.listen(5001, [](tcp::TcpConnection&) {});
-  tcp::TcpConnection& c = client.connect(1, 5001);
-  c.send(bytes);
-  sim::Time done = 0;
-  c.set_on_acked([&](std::uint64_t acked) {
-    if (acked == bytes) done = sim.now();
-  });
-  sim.run();
-  return static_cast<double>(bytes) / sim::to_seconds(done) / 1e6;
+  // i.i.d. WAN loss is a fault plan that never leaves its good state.
+  // The plan is passed even at loss 0 so a global --faults plan never
+  // lands on only some rows.
+  const net::FaultPlanConfig plan{.ge = {.loss_good = loss}};
+  core::Testbed tb(
+      core::TestbedOptions{.wan_delay = delay, .seed = seed, .faults = &plan});
+  core::tcpbench::StreamConfig cfg;
+  cfg.tcp = core::tcp_window();
+  cfg.tcp.sack = sack;
+  cfg.bytes_per_stream = bytes;
+  return core::tcpbench::tcp_throughput(tb, cfg);
 }
 
 }  // namespace
@@ -69,7 +54,7 @@ int main(int argc, char** argv) {
   // Oracle audit: goodput never exceeds the WAN wire rate at any loss
   // rate, and selective acknowledgment never loses to go-back-N (the
   // loss injection is seed-averaged, so allow a little wiggle).
-  if (bench::selfcheck_enabled() && net::global_fault_plan() == nullptr) {
+  if (bench::selfcheck_enabled()) {
     auto& report = check::selfcheck_report();
     const net::FabricConfig fc = core::fabric_defaults(1, 1);
     const double wire = 1000.0 * check::cross_wan_path(fc).wan_rate;

@@ -95,9 +95,8 @@ int main() {
               static_cast<unsigned long long>(s.down_ns),
               static_cast<unsigned long long>(s.flaps));
 
-  const std::uint64_t in_flight_drops = s.packets_dropped_loss +
-                                        s.packets_dropped_fault +
-                                        s.packets_dropped_down;
+  const std::uint64_t in_flight_drops =
+      s.packets_dropped_fault + s.packets_dropped_down;
   std::printf(
       "\n  conservation: sent %llu == delivered %llu + in-flight drops "
       "%llu  %s\n",

@@ -9,7 +9,7 @@
 #
 #   scripts/check_pdes.sh [build-dir]
 #
-# Benches that cannot partition (flat loss, back-to-back) fall back to
+# Benches that cannot partition (back-to-back) fall back to
 # the sequential engine internally; they still run here so the fallback
 # itself is covered. Any IBWAN_PAR_SITES > 1 requests the full per-site
 # partition (one LP per topology site — the only split that preserves

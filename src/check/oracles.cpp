@@ -386,8 +386,8 @@ void check_conservation(OracleReport& report, const std::string& context,
           value(m, "bytes_delivered") + value(m, "bytes_dropped");
       const std::uint64_t pkts_sent = value(m, "pkts_sent");
       const std::uint64_t pkts_out =
-          value(m, "pkts_delivered") + value(m, "drops_loss") +
-          value(m, "drops_fault") + value(m, "drops_link_down");
+          value(m, "pkts_delivered") + value(m, "drops_fault") +
+          value(m, "drops_link_down");
       if (opt.exact_links) {
         report.expect_eq_u64("link-conservation", ctx + " bytes", bytes_out,
                              bytes_sent);

@@ -71,31 +71,10 @@ class Testbed {
                                .seed = seed}) {}
 
   explicit Testbed(const TestbedOptions& opt)
-      : engine_(effective_sites(opt), pdes_threads()),
-        fabric_(opt.topology != nullptr
-                    ? std::make_unique<net::Fabric>(engine_, *opt.topology)
-                    : std::make_unique<net::Fabric>(
-                          engine_,
-                          fabric_defaults(opt.nodes_a, opt.nodes_b))) {
-    engine_.seed(opt.seed);
-    fabric_->set_wan_delay(opt.wan_delay);
-    // A fault plan (per-testbed, else the process-wide bench --faults
-    // one) attaches to every WAN edge; seeding first keeps the fault
-    // RNG streams (keyed by per-edge link names) tied to this run's
-    // seed.
-    const net::FaultPlanConfig* fp =
-        opt.faults != nullptr ? opt.faults : net::global_fault_plan();
-    if (fp != nullptr) {
-      for (int e = 0; e < fabric_->wan_edge_count(); ++e) {
-        fabric_->wan_pair(e).apply_faults(*fp);
-      }
-    }
-    if (opt.metrics || sim::MetricsAggregator::global().active()) {
-      for (int i = 0; i < engine_.sites(); ++i) {
-        engine_.site(i).metrics().set_enabled(true);
-      }
-    }
-  }
+      : Testbed(opt, opt.topology != nullptr
+                         ? *opt.topology
+                         : net::to_topology(
+                               fabric_defaults(opt.nodes_a, opt.nodes_b))) {}
 
   ~Testbed() {
     auto& agg = sim::MetricsAggregator::global();
@@ -151,31 +130,37 @@ class Testbed {
   }
 
  private:
-  /// Sites actually constructed: any parallel request partitions fully
-  /// (one LP per topology site — the only partition that preserves
-  /// byte-identity, see Fabric), with IBWAN_THREADS=1 forcing the
-  /// sequential oracle.
-  static int effective_sites(const TestbedOptions& opt) {
-    int req = opt.par_sites > 0 ? opt.par_sites : par_sites();
-    const int max_sites =
-        opt.topology != nullptr
-            ? static_cast<int>(opt.topology->sites.size())
-            : 2;  // the classic testbed is one LP per cluster
-    if (req > 1) req = max_sites;
-    if (req > 1 && pdes_threads() == 1) req = 1;
-    if (req > 1) {
-      // Shapes the partition cannot support run sequentially (the
-      // fabric would fall back anyway; keep the engine in sync).
-      const net::TopologyConfig topo =
-          opt.topology != nullptr
-              ? *opt.topology
-              : net::to_topology(fabric_defaults(opt.nodes_a, opt.nodes_b));
-      if (topo.back_to_back) req = 1;
-      for (const net::WanEdgeConfig& e : topo.wan) {
-        if (e.longbow.loss_rate > 0.0) req = 1;
+  Testbed(const TestbedOptions& opt, const net::TopologyConfig& topo)
+      : engine_(effective_sites(opt, topo), pdes_threads()),
+        fabric_(std::make_unique<net::Fabric>(engine_, topo)) {
+    engine_.seed(opt.seed);
+    fabric_->set_wan_delay(opt.wan_delay);
+    // A fault plan (per-testbed, else the process-wide bench --faults
+    // one) attaches to every WAN edge; seeding first keeps the fault
+    // RNG streams (keyed by per-edge link names) tied to this run's
+    // seed.
+    const net::FaultPlanConfig* fp =
+        opt.faults != nullptr ? opt.faults : net::global_fault_plan();
+    if (fp != nullptr) {
+      for (int e = 0; e < fabric_->wan_edge_count(); ++e) {
+        fabric_->wan_pair(e).apply_faults(*fp);
       }
     }
-    return req < 1 ? 1 : req;
+    if (opt.metrics || sim::MetricsAggregator::global().active()) {
+      for (int i = 0; i < engine_.sites(); ++i) {
+        engine_.site(i).metrics().set_enabled(true);
+      }
+    }
+  }
+
+  /// Sites actually constructed: a parallel request gets the one
+  /// partition that preserves byte-identity (net::partition_sites), and
+  /// IBWAN_THREADS=1 forces the sequential oracle.
+  static int effective_sites(const TestbedOptions& opt,
+                             const net::TopologyConfig& topo) {
+    const int req = opt.par_sites > 0 ? opt.par_sites : par_sites();
+    if (req <= 1 || pdes_threads() == 1) return 1;
+    return net::partition_sites(topo);
   }
 
   sim::SiteEngine engine_;

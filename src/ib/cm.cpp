@@ -53,6 +53,19 @@ sim::Task CmAgent::retry_loop(Lid dst, std::uint64_t conn_id, CmMad req) {
   conn->done.fire();
 }
 
+sim::Task CmAgent::rep_retry_loop(Lid dst, std::uint64_t conn_id,
+                                  CmMad rep) {
+  // The RTU is a datagram too: resend the REP until it arrives (the
+  // active side answers every REP with an RTU).
+  for (int attempt = 1; attempt < config_.max_retries; ++attempt) {
+    co_await sim::SleepAwaiter(hca_.sim(), config_.retry_timeout);
+    if (passive_.at(conn_id).established) co_return;
+    ++stats_.retries;
+    ++stats_.reps_sent;
+    send_mad(dst, rep);
+  }
+}
+
 sim::Coro<RcQp*> CmAgent::connect(Lid dst, std::uint32_t service_id,
                                   Cq& scq, Cq& rcq) {
   const std::uint64_t conn_id =
@@ -69,8 +82,10 @@ sim::Coro<RcQp*> CmAgent::connect(Lid dst, std::uint32_t service_id,
   retry_loop(dst, conn_id, req);
   if (!conn->done.fired()) co_await conn->done.wait();
   assert(conn->replied || conn->rejected);
-  active_.erase(conn_id);
-  if (conn->rejected) co_return nullptr;
+  if (conn->rejected) {
+    active_.erase(conn_id);
+    co_return nullptr;
+  }
   ++stats_.connections;
   co_return conn->qp;
 }
@@ -92,33 +107,36 @@ void CmAgent::on_mad(const Cqe& cqe) {
       }
       // Duplicate REQ (our REP was lost): resend the REP.
       auto pit = passive_.find(mad.conn_id);
-      if (pit == passive_.end()) {
+      const bool fresh = pit == passive_.end();
+      if (fresh) {
         RcQp& qp = hca_.create_rc_qp(*lit->second.scq, *lit->second.rcq);
         qp.connect(mad.src_lid, mad.qpn);
         pit = passive_.emplace(mad.conn_id, PassiveConn{&qp, false}).first;
       }
+      const CmMad rep{.kind = CmMad::Kind::kRep,
+                      .service_id = mad.service_id,
+                      .conn_id = mad.conn_id,
+                      .src_lid = hca_.lid(),
+                      .qpn = pit->second.qp->qpn()};
       ++stats_.reps_sent;
-      send_mad(mad.src_lid, CmMad{.kind = CmMad::Kind::kRep,
-                                  .service_id = mad.service_id,
-                                  .conn_id = mad.conn_id,
-                                  .src_lid = hca_.lid(),
-                                  .qpn = pit->second.qp->qpn()});
+      send_mad(mad.src_lid, rep);
+      if (fresh) rep_retry_loop(mad.src_lid, mad.conn_id, rep);
       return;
     }
     case CmMad::Kind::kRep: {
       auto it = active_.find(mad.conn_id);
-      if (it == active_.end()) return;  // stale/duplicate
+      if (it == active_.end() || it->second->rejected) return;  // stale
       auto conn = it->second;
-      if (!conn->replied) {
-        conn->qp->connect(mad.src_lid, mad.qpn);
-        conn->replied = true;
-      }
       // Ready-to-use confirms the passive side (resent on dup REPs).
       send_mad(mad.src_lid, CmMad{.kind = CmMad::Kind::kRtu,
                                   .service_id = mad.service_id,
                                   .conn_id = mad.conn_id,
                                   .src_lid = hca_.lid()});
-      conn->done.fire();
+      if (!conn->replied) {
+        conn->qp->connect(mad.src_lid, mad.qpn);
+        conn->replied = true;
+        conn->done.fire();
+      }
       return;
     }
     case CmMad::Kind::kRej: {

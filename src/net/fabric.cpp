@@ -10,23 +10,6 @@ namespace ibwan::net {
 
 namespace {
 
-bool partitionable(const sim::SiteEngine& engine, const TopologyConfig& topo) {
-  if (!engine.parallel() || topo.back_to_back) return false;
-  // The partition is exactly one logical process per topology site. A
-  // smaller engine would have to co-locate sites, and a co-located
-  // site's WAN deliveries are ordinary local events — at a same-instant
-  // arrival tie with a channel merge they would fire in slot order, not
-  // the sequential engine's schedule order, breaking byte-identity.
-  if (engine.sites() != static_cast<int>(topo.sites.size())) return false;
-  // Flat WAN loss draws from the main RNG stream at serialization time;
-  // splitting the sites would split that stream, so such configs stay
-  // sequential (the named-stream fault models are fine).
-  for (const WanEdgeConfig& e : topo.wan) {
-    if (e.longbow.loss_rate != 0.0) return false;
-  }
-  return true;
-}
-
 std::string site_letter(int site) {
   if (site < 26) return std::string(1, static_cast<char>('a' + site));
   // Appended rather than `"s" + std::to_string(site)`: that operator+
@@ -46,6 +29,15 @@ void check_topology(const TopologyConfig& topo) {
 
 }  // namespace
 
+int partition_sites(const TopologyConfig& topo) {
+  // Exactly one logical process per topology site. Fewer would have to
+  // co-locate sites, and a co-located site's WAN deliveries are
+  // ordinary local events — at a same-instant arrival tie with a
+  // channel merge they would fire in slot order, not the sequential
+  // engine's schedule order, breaking byte-identity.
+  return topo.back_to_back ? 1 : static_cast<int>(topo.sites.size());
+}
+
 TopologyConfig to_topology(const FabricConfig& config) {
   TopologyConfig topo;
   topo.sites = {SiteConfig{.nodes = config.nodes_a},
@@ -64,9 +56,6 @@ TopologyConfig to_topology(const FabricConfig& config) {
 Fabric::Fabric(sim::Simulator& sim, const FabricConfig& config)
     : Fabric(sim, to_topology(config)) {}
 
-Fabric::Fabric(sim::SiteEngine& engine, const FabricConfig& config)
-    : Fabric(engine, to_topology(config)) {}
-
 Fabric::Fabric(sim::Simulator& sim, const TopologyConfig& topo)
     : sim_(sim), topo_(topo) {
   check_topology(topo_);
@@ -82,7 +71,7 @@ Fabric::Fabric(sim::Simulator& sim, const TopologyConfig& topo)
 Fabric::Fabric(sim::SiteEngine& engine, const TopologyConfig& topo)
     : engine_(&engine), sim_(engine.site(0)), topo_(topo) {
   check_topology(topo_);
-  init_sites(partitionable(engine, topo_));
+  init_sites(engine.parallel() && engine.sites() == partition_sites(topo_));
   routes_ = compute_wan_routes(topo_);
   if (topo_.back_to_back) {
     build_back_to_back();
@@ -117,8 +106,8 @@ void Fabric::init_sites(bool partitionable_now) {
   site_lp_.assign(std::size_t(n), 0);
   site_sims_.assign(std::size_t(n), &sim_);
   if (partitionable_now) {
-    // One logical process per site (partitionable() guarantees the
-    // engine matches the topology exactly).
+    // One logical process per site (the engine matches
+    // partition_sites() exactly).
     for (int s = 0; s < n; ++s) {
       site_lp_[std::size_t(s)] = s;
       site_sims_[std::size_t(s)] = &engine_->site(s);

@@ -54,6 +54,12 @@ struct FabricConfig {
 /// The two-site TopologyConfig a FabricConfig denotes.
 TopologyConfig to_topology(const FabricConfig& config);
 
+/// The partition rule (DESIGN.md §13): the logical processes a
+/// site-parallel run of `topo` uses — one per topology site, or 1 for a
+/// back-to-back fabric, which has no WAN link to cut. core::Testbed
+/// sizes its engine with it; a partitioned Fabric requires it.
+int partition_sites(const TopologyConfig& topo);
+
 class Fabric {
  public:
   Fabric(sim::Simulator& sim, const FabricConfig& config);
@@ -62,14 +68,10 @@ class Fabric {
   /// Site-partitioned construction (DESIGN.md §13): each topology site
   /// becomes a logical process and every WAN edge gets a pair of
   /// channels (one per direction). The conservative lookahead is the
-  /// minimum one-way latency any cross-LP WAN edge can impose. The
-  /// partition must be exact — one engine site per topology site.
-  /// Configs the partition cannot support — a mismatched engine size,
-  /// back-to-back, or flat WAN loss (which draws from the main RNG at
-  /// serialization time and therefore needs one global stream) — land
-  /// entirely on engine site 0 and run_all() degenerates to the
-  /// sequential path.
-  Fabric(sim::SiteEngine& engine, const FabricConfig& config);
+  /// minimum one-way latency any cross-LP WAN edge can impose. A
+  /// parallel engine must have exactly partition_sites(topo) sites;
+  /// any other engine leaves the whole fabric on engine site 0 and
+  /// run_all() degenerates to the sequential path.
   Fabric(sim::SiteEngine& engine, const TopologyConfig& topo);
 
   Fabric(const Fabric&) = delete;

@@ -4,17 +4,19 @@
 //
 //   - Gilbert–Elliott bursty loss: a two-state (good/bad) Markov chain
 //     advanced per packet, with a state-dependent drop probability —
-//     the standard model for correlated WAN loss, which i.i.d.
-//     `loss_rate` cannot reproduce.
+//     the standard model for correlated WAN loss. A chain that never
+//     leaves its good state (`{.ge = {.loss_good = p}}`) is plain
+//     i.i.d. (Bernoulli) loss; it is the simulator's only loss model.
 //   - Link flaps: scheduled down/up windows. Going down kills whatever
 //     is on the wire and pauses the serializer (see Link::set_down).
 //   - Jitter: bounded uniform extra per-packet propagation delay.
 //   - Brownouts: temporary squeezes of the WAN send buffer.
 //
 // Every random draw comes from a *named* RNG stream derived from the
-// run seed (Simulator::rng_stream), never from Simulator::rng() — so a
-// run with faults enabled-but-inert is byte-identical to one without
-// the plan, and the committed CSVs stay reproducible.
+// run seed and the link name (Simulator::rng_stream) — so a run with
+// faults enabled-but-inert is byte-identical to one without the plan,
+// and the draws are the same whether or not the run is split into one
+// logical process per site.
 //
 // Plans load from JSON (times in microseconds):
 //

@@ -24,7 +24,6 @@ Link::Link(sim::Simulator& sim, Config config, std::string name)
   obs_.bytes_delivered =
       &m.counter(scope, "bytes_delivered", MetricUnit::kBytes);
   obs_.drops_buffer = &m.counter(scope, "drops_buffer", MetricUnit::kPackets);
-  obs_.drops_loss = &m.counter(scope, "drops_loss", MetricUnit::kPackets);
   obs_.drops_fault = &m.counter(scope, "drops_fault", MetricUnit::kPackets);
   obs_.drops_link_down =
       &m.counter(scope, "drops_link_down", MetricUnit::kPackets);
@@ -186,20 +185,7 @@ void Link::finish_serialize(std::uint64_t epoch) {
     start_next();
     return;
   }
-  // Flat config loss draws first, and only when configured, so the main
-  // RNG stream sees the exact same sequence whether or not a fault
-  // model is installed.
-  const bool lost =
-      config_.loss_rate > 0.0 && sim_.rng().chance(config_.loss_rate);
-  if (lost) {
-    ++stats_.packets_dropped_loss;
-    stats_.bytes_dropped += wire_.wire_size;
-    obs_.drops_loss->add();
-    obs_.bytes_dropped->add(wire_.wire_size);
-    sim_.recorder().record(sim_.now(), TraceKind::kPktDrop, name_.c_str(),
-                           wire_.id, wire_.wire_size, /*c=*/2);
-    wire_.payload.reset();
-  } else if (loss_model_ && loss_model_(wire_)) {
+  if (loss_model_ && loss_model_(wire_)) {
     ++stats_.packets_dropped_fault;
     stats_.bytes_dropped += wire_.wire_size;
     obs_.drops_fault->add();

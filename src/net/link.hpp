@@ -6,8 +6,9 @@
 // serializer: a control lane (transport ACK/NAK and similar) that is
 // always scheduled ahead of the bulk-data lane, modelling the arbitration
 // real ports perform so responder traffic is not starved by deep send
-// queues. Optional finite buffering and random loss support
-// failure-injection experiments.
+// queues. Optional finite buffering supports failure-injection
+// experiments; random loss, jitter and flaps come from a net::FaultPlan
+// through the fault-injection hooks below.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +32,6 @@ class Link {
     sim::Duration propagation = 0;
     /// Bytes that may be queued awaiting serialization; 0 = unbounded.
     std::uint64_t buffer_bytes = 0;
-    /// Probability that a packet is corrupted in flight and discarded.
-    double loss_rate = 0.0;
   };
 
   // The counters below carry the conservation invariant and may only be
@@ -46,11 +45,10 @@ class Link {
     std::uint64_t packets_delivered = 0;  // lint:conserved
     std::uint64_t bytes_delivered = 0;    // lint:conserved
     std::uint64_t packets_dropped_buffer = 0;    // lint:conserved
-    std::uint64_t packets_dropped_loss = 0;      // lint:conserved
     std::uint64_t packets_dropped_fault = 0;     // lint:conserved (injected)
     std::uint64_t packets_dropped_down = 0;      // lint:conserved (flaps)
     std::uint64_t packets_dropped_brownout = 0;  // lint:conserved (squeeze)
-    /// Bytes of every in-flight drop (loss + fault + down). Buffer drops
+    /// Bytes of every in-flight drop (fault + down). Buffer drops
     /// never reach the wire, so after the queue drains:
     ///   bytes_sent == bytes_delivered + bytes_dropped.
     std::uint64_t bytes_dropped = 0;  // lint:conserved
@@ -88,10 +86,10 @@ class Link {
   // --- Fault-injection hooks (driven by net::FaultPlan) -------------
 
   /// Per-packet injected-loss decision, consulted at serialization time.
-  /// The model must draw from its own RNG stream (Simulator::rng_stream),
-  /// never Simulator::rng(), so installing it cannot perturb fault-free
-  /// runs. Applied after the flat config loss_rate draw; drops count as
-  /// packets_dropped_fault.
+  /// The model must draw from its own named RNG stream
+  /// (Simulator::rng_stream), so its draws depend only on the run seed
+  /// and the link name, never on other traffic or the site partition.
+  /// Drops count as packets_dropped_fault.
   void set_loss_model(std::function<bool(const Packet&)> model) {
     loss_model_ = std::move(model);
   }
@@ -158,7 +156,6 @@ class Link {
     sim::Counter* pkts_delivered;
     sim::Counter* bytes_delivered;
     sim::Counter* drops_buffer;
-    sim::Counter* drops_loss;
     sim::Counter* drops_fault;
     sim::Counter* drops_link_down;
     sim::Counter* drops_brownout;

@@ -40,8 +40,7 @@ LongbowPair::LongbowPair(sim::Simulator& sim_a, sim::Simulator& sim_b,
 
   Link::Config wan{.bytes_per_ns = config.wan_rate,
                    .propagation = config.base_propagation,
-                   .buffer_bytes = config.buffer_bytes,
-                   .loss_rate = config.loss_rate};
+                   .buffer_bytes = config.buffer_bytes};
   a_to_b_ = std::make_unique<Link>(sim_a, wan, names.wan_a2b);
   b_to_a_ = std::make_unique<Link>(sim_b, wan, names.wan_b2a);
   a_to_b_->set_sink([this](Packet&& p) { b_->receive_from_wan(std::move(p)); });

@@ -79,8 +79,6 @@ class LongbowPair {
     sim::Duration base_propagation = 500;
     /// WAN-side buffering per direction; 0 = unbounded.
     std::uint64_t buffer_bytes = 0;
-    /// WAN loss probability (failure injection).
-    double loss_rate = 0.0;
   };
 
   /// Instance names for the routers and long-haul links — metric scopes
@@ -110,9 +108,10 @@ class LongbowPair {
   Longbow& side_a() { return *a_; }
   Longbow& side_b() { return *b_; }
 
-  /// Attaches a fault plan to both WAN directions (net/faults.hpp).
-  /// Call after Simulator::seed() so the fault RNG streams derive from
-  /// the run seed. Replaces any previously applied plan's RNG-driven
+  /// Attaches a fault plan to both WAN directions (net/faults.hpp) —
+  /// the one WAN loss model: plain i.i.d. loss at rate p is the plan
+  /// `{.ge = {.loss_good = p}}`. Call after Simulator::seed() so the
+  /// fault RNG streams derive from the run seed. Replaces any previously applied plan's RNG-driven
   /// models; scheduled windows from an earlier plan still fire.
   void apply_faults(const FaultPlanConfig& cfg);
 

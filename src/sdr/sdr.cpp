@@ -68,8 +68,9 @@ SdrEndpoint::SdrEndpoint(ib::Hca& hca, SdrConfig config)
                  hca_.lid(), err.c_str());
     std::abort();
   }
-  // Named stream: retuning redundancy must never perturb the main RNG
-  // sequence (faults-off runs stay byte-identical; DESIGN.md §14).
+  // Named stream: retuning redundancy must never perturb any other
+  // component's draws (faults-off runs stay byte-identical; DESIGN.md
+  // §14).
   adaptive_rng_ = sim_.rng_stream("sdr.adaptive");
   std::snprintf(trace_tag_, sizeof(trace_tag_), "sdr-%u", hca_.lid());
 

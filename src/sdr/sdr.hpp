@@ -56,7 +56,7 @@ struct SdrConfig {
   int parity_per_group = 2;
   /// Retune r per message from the observed-loss EWMA. Draws live on
   /// the named RNG stream "sdr.adaptive" (Simulator::rng_stream), so
-  /// enabling the policy cannot perturb the main RNG sequence.
+  /// enabling the policy cannot perturb any other component's draws.
   bool adaptive = false;
   double ewma_alpha = 0.25;
   /// Target redundancy ratio = loss_safety * loss EWMA (headroom for

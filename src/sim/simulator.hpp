@@ -250,17 +250,14 @@ class Simulator {
     return n;
   }
 
-  /// Simulator-owned RNG so all stochastic behaviour shares one seed.
-  Rng& rng() { return rng_; }
-  void seed(std::uint64_t s) {
-    seed_ = s;
-    rng_.reseed(s);
-  }
+  /// Run seed every named RNG stream derives from.
+  void seed(std::uint64_t s) { seed_ = s; }
 
   /// Independent RNG derived from the run seed and a stream name
-  /// (FNV-1a). Consumers that must not perturb the main stream — fault
-  /// injection, optional instrumentation — draw from their own named
-  /// stream, so enabling them leaves rng()'s sequence untouched.
+  /// (FNV-1a) — the only source of randomness in a run. Each consumer
+  /// (a link's fault plan, a test script) draws from its own named
+  /// stream, so its sequence never depends on what other components
+  /// draw, nor on which logical process the consumer runs in.
   Rng rng_stream(std::string_view name) const {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (char c : name) {
@@ -616,7 +613,6 @@ class Simulator {
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::uint64_t seed_ = 0x9e3779b97f4a7c15ULL;  // Rng's default seed
-  Rng rng_;
   MetricsRegistry metrics_;
   FlightRecorder recorder_;
 };

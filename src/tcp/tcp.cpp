@@ -172,11 +172,10 @@ void TcpConnection::on_segment(const Segment& seg) {
 
 void TcpConnection::on_data(const Segment& seg) {
   if (seg.seq == rcv_nxt_) {
+    keep_markers(seg);
     rcv_nxt_ += seg.len;
     if (on_delivered_) on_delivered_(seg.len);
-    for (const auto& [offset, marker] : seg.markers) {
-      if (offset <= rcv_nxt_ && on_marker_) on_marker_(marker);
-    }
+    flush_ready_markers();
     if (cfg_.sack && !ooo_.empty()) {
       drain_ooo();
       // Filling a hole deserves an immediate ack with updated blocks.
@@ -199,9 +198,7 @@ void TcpConnection::on_data(const Segment& seg) {
 void TcpConnection::buffer_ooo(const Segment& seg) {
   std::uint64_t start = seg.seq;
   std::uint64_t end = seg.seq + seg.len;
-  for (const auto& [offset, marker] : seg.markers) {
-    ooo_markers_.emplace_back(offset, marker);
-  }
+  keep_markers(seg);
   // Merge with overlapping/adjacent ranges.
   auto it = ooo_.lower_bound(start);
   if (it != ooo_.begin()) {
@@ -232,14 +229,27 @@ void TcpConnection::drain_ooo() {
   flush_ready_markers();
 }
 
+void TcpConnection::keep_markers(const Segment& seg) {
+  // Every copy of a segment re-carries the markers it completes, and a
+  // SACK hole retransmission may cut the stream at other boundaries
+  // than the original, so one marker can arrive several times (out of
+  // order, or out of order and then in order) before it fires.
+  const auto by_offset = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  for (const auto& m : seg.markers) {
+    const auto [lo, hi] = std::equal_range(
+        rcv_markers_.begin(), rcv_markers_.end(), m, by_offset);
+    if (std::find(lo, hi, m) == hi) rcv_markers_.insert(hi, m);
+  }
+}
+
 void TcpConnection::flush_ready_markers() {
-  // Buffered markers fire once their byte is in order; keep stream order.
-  std::sort(ooo_markers_.begin(), ooo_markers_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  auto it = ooo_markers_.begin();
-  while (it != ooo_markers_.end() && it->first <= rcv_nxt_) {
-    if (on_marker_) on_marker_(it->second);
-    it = ooo_markers_.erase(it);
+  // Markers fire once their record's last byte is in order, in stream
+  // order.
+  while (!rcv_markers_.empty() && rcv_markers_.front().first <= rcv_nxt_) {
+    if (on_marker_) on_marker_(rcv_markers_.front().second);
+    rcv_markers_.erase(rcv_markers_.begin());
   }
 }
 

@@ -126,6 +126,7 @@ class TcpConnection {
   void on_ack(const Segment& seg);
   void buffer_ooo(const Segment& seg);
   void drain_ooo();
+  void keep_markers(const Segment& seg);
   void flush_ready_markers();
   void retransmit_holes();
   void emit_range(std::uint64_t from, std::uint64_t to);
@@ -174,11 +175,12 @@ class TcpConnection {
   std::uint32_t unacked_segs_ = 0;
   sim::EventId dack_timer_ = 0;
   bool dack_armed_ = false;
-  /// SACK receiver: buffered out-of-order ranges (start -> end, merged)
-  /// and the markers they carried.
+  /// SACK receiver: buffered out-of-order ranges (start -> end, merged).
   std::map<std::uint64_t, std::uint64_t> ooo_;
+  /// Received markers whose record is not yet in order, ascending by
+  /// end offset, one entry per marker however many copies arrived.
   std::vector<std::pair<std::uint64_t, std::shared_ptr<const void>>>
-      ooo_markers_;
+      rcv_markers_;
 
   // SACK sender scoreboard.
   std::map<std::uint64_t, std::uint64_t> sacked_;

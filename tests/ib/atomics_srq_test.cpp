@@ -91,12 +91,11 @@ TEST(Atomics, ConcurrentAddersNeverLoseUpdates) {
 }
 
 TEST(Atomics, SurviveWanLoss) {
-  net::FabricConfig fc{.nodes_a = 1, .nodes_b = 1};
-  fc.longbow.loss_rate = 0.05;
   HcaConfig hca;
   hca.rto = 2_ms;
-  TwoNodeFabric f(hca, fc);
+  TwoNodeFabric f(hca);
   f.sim.seed(31);
+  f.set_wan_loss(0.05);
   auto [qa, qb] = f.rc_pair();
   (void)qb;
   int done = 0;
@@ -108,6 +107,7 @@ TEST(Atomics, SurviveWanLoss) {
                          .atomic_operand = 1});
   }
   f.sim.run();
+  EXPECT_GT(f.wan_drops(), 0u);
   EXPECT_EQ(done, 30);
   EXPECT_EQ(f.hca_b.memory_word(0x400), 30u);  // exactly once each
 }

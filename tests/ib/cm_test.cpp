@@ -5,6 +5,7 @@
 
 #include "ib/hca.hpp"
 #include "net/fabric.hpp"
+#include "net/faults.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 
@@ -14,18 +15,13 @@ namespace {
 using namespace ibwan::sim::literals;
 
 struct CmWorld {
-  explicit CmWorld(double loss = 0)
-      : fabric(sim, make_fabric(loss)),
+  CmWorld()
+      : fabric(sim, {.nodes_a = 1, .nodes_b = 1}),
         hca_a(fabric.node(0), {}),
         hca_b(fabric.node(1), {}),
         cm_a(hca_a),
         cm_b(hca_b),
         scq_a(sim), rcq_a(sim), scq_b(sim), rcq_b(sim) {}
-  static net::FabricConfig make_fabric(double loss) {
-    net::FabricConfig fc{.nodes_a = 1, .nodes_b = 1};
-    fc.longbow.loss_rate = loss;
-    return fc;
-  }
   sim::Simulator sim;
   net::Fabric fabric;
   Hca hca_a, hca_b;
@@ -83,8 +79,12 @@ TEST(Cm, HandshakeCostsOneRoundTripOverWan) {
 }
 
 TEST(Cm, SurvivesMadLoss) {
-  CmWorld w(0.25);  // brutal datagram loss
-  w.sim.seed(11);
+  CmWorld w;
+  // Seed 12 loses both a REQ and an RTU: the passive side must resend
+  // its REP until an RTU gets through.
+  w.sim.seed(12);
+  // Brutal datagram loss.
+  w.fabric.wan_pair(0).apply_faults({.ge = {.loss_good = 0.25}});
   int connected = 0;
   w.cm_b.listen(42, w.scq_b, w.rcq_b, [&](RcQp&) { ++connected; });
   RcQp* qp = nullptr;
@@ -95,6 +95,10 @@ TEST(Cm, SurvivesMadLoss) {
   ASSERT_NE(qp, nullptr);
   EXPECT_TRUE(qp->connected());
   EXPECT_EQ(connected, 1);  // dedup: exactly one accept callback
+  net::LongbowPair& wan = w.fabric.wan_pair(0);
+  EXPECT_GT(wan.wan_link_a_to_b().stats().packets_dropped_fault +
+                wan.wan_link_b_to_a().stats().packets_dropped_fault,
+            0u);
   EXPECT_GT(w.cm_a.stats().retries, 0u);
 }
 

@@ -13,6 +13,7 @@
 #include "ib/qp.hpp"
 #include "ib/wire.hpp"
 #include "net/fabric.hpp"
+#include "net/faults.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "sim/simulator.hpp"
@@ -45,6 +46,20 @@ struct TwoNodeFabric {
     UdQp& qa = hca_a.create_ud_qp(scq_a, rcq_a);
     UdQp& qb = hca_b.create_ud_qp(scq_b, rcq_b);
     return {&qa, &qb};
+  }
+
+  /// i.i.d. loss at rate p on both WAN directions: a fault plan that
+  /// never leaves its good state. Call after seeding `sim` — the plan's
+  /// RNG streams derive from the run seed.
+  void set_wan_loss(double p) {
+    fabric.wan_pair(0).apply_faults({.ge = {.loss_good = p}});
+  }
+
+  /// Packets the WAN loss model dropped, both directions.
+  std::uint64_t wan_drops() {
+    net::LongbowPair& wan = fabric.wan_pair(0);
+    return wan.wan_link_a_to_b().stats().packets_dropped_fault +
+           wan.wan_link_b_to_a().stats().packets_dropped_fault;
   }
 
   sim::Simulator sim;

@@ -14,16 +14,11 @@ namespace {
 using ibwan::ib::testing::TwoNodeFabric;
 using namespace ibwan::sim::literals;
 
-TwoNodeFabric lossy_fabric(double loss, HcaConfig hca = {}) {
-  net::FabricConfig fc{.nodes_a = 1, .nodes_b = 1};
-  fc.longbow.loss_rate = loss;
-  return TwoNodeFabric(hca, fc);
-}
-
 TEST(Reliability, RcRecoversSingleMessageFromLoss) {
   HcaConfig hca;
   hca.rto = 2_ms;
-  auto f = lossy_fabric(0.02, hca);
+  TwoNodeFabric f(hca);
+  f.set_wan_loss(0.02);
   auto [qa, qb] = f.rc_pair();
   qb->post_recv(RecvWr{});
   qa->post_send(SendWr{.length = 1 << 20});  // 512 packets, ~10 will drop
@@ -31,14 +26,16 @@ TEST(Reliability, RcRecoversSingleMessageFromLoss) {
   auto cqe = f.rcq_b.poll();
   ASSERT_TRUE(cqe.has_value());
   EXPECT_EQ(cqe->byte_len, 1u << 20);
+  EXPECT_GT(f.wan_drops(), 0u);
   EXPECT_GT(qa->stats().pkts_retransmitted, 0u);
 }
 
 TEST(Reliability, RcDeliversAllMessagesInOrderUnderLoss) {
   HcaConfig hca;
   hca.rto = 2_ms;
-  auto f = lossy_fabric(0.05, hca);
+  TwoNodeFabric f(hca);
   f.sim.seed(1234);
+  f.set_wan_loss(0.05);
   auto [qa, qb] = f.rc_pair();
   const int n = 200;
   std::vector<std::uint64_t> sizes;
@@ -52,6 +49,7 @@ TEST(Reliability, RcDeliversAllMessagesInOrderUnderLoss) {
   for (int i = 0; i < n; ++i) {
     EXPECT_EQ(sizes[i], static_cast<std::uint64_t>(1 + i * 37));
   }
+  EXPECT_GT(f.wan_drops(), 0u);
   EXPECT_GT(qb->stats().naks_sent + qa->stats().rto_fires, 0u);
 }
 
@@ -59,8 +57,9 @@ TEST(Reliability, RcSenderCompletionsSurviveAckLoss) {
   // Loss hits acks too; duplicates must re-ack and all sends complete.
   HcaConfig hca;
   hca.rto = 1_ms;
-  auto f = lossy_fabric(0.05, hca);
+  TwoNodeFabric f(hca);
   f.sim.seed(99);
+  f.set_wan_loss(0.05);
   auto [qa, qb] = f.rc_pair();
   const int n = 100;
   int send_done = 0;
@@ -68,6 +67,7 @@ TEST(Reliability, RcSenderCompletionsSurviveAckLoss) {
   for (int i = 0; i < n; ++i) qb->post_recv(RecvWr{});
   for (int i = 0; i < n; ++i) qa->post_send(SendWr{.length = 3000});
   f.sim.run();
+  EXPECT_GT(f.wan_drops(), 0u);
   EXPECT_EQ(send_done, n);
   EXPECT_EQ(qb->stats().msgs_received, static_cast<std::uint64_t>(n));
 }
@@ -75,8 +75,9 @@ TEST(Reliability, RcSenderCompletionsSurviveAckLoss) {
 TEST(Reliability, RcRdmaReadSurvivesRequestLoss) {
   HcaConfig hca;
   hca.rto = 1_ms;
-  auto f = lossy_fabric(0.10, hca);
+  TwoNodeFabric f(hca);
   f.sim.seed(7);
+  f.set_wan_loss(0.10);
   auto [qa, qb] = f.rc_pair();
   (void)qb;
   int done = 0;
@@ -87,6 +88,7 @@ TEST(Reliability, RcRdmaReadSurvivesRequestLoss) {
                          .length = 20000});
   }
   f.sim.run();
+  EXPECT_GT(f.wan_drops(), 0u);
   EXPECT_EQ(done, 10);
 }
 
@@ -94,7 +96,8 @@ TEST(Reliability, RetransmissionPreservesExactlyOnceDelivery) {
   // Count receiver messages: duplicates would surface as extra CQEs.
   HcaConfig hca;
   hca.rto = 500_us;  // aggressive timer to provoke spurious retransmits
-  auto f = lossy_fabric(0.03, hca);
+  TwoNodeFabric f(hca);
+  f.set_wan_loss(0.03);
   f.fabric.set_wan_delay(100_us);
   auto [qa, qb] = f.rc_pair();
   const int n = 50;
@@ -103,13 +106,15 @@ TEST(Reliability, RetransmissionPreservesExactlyOnceDelivery) {
   for (int i = 0; i < n; ++i) qb->post_recv(RecvWr{});
   for (int i = 0; i < n; ++i) qa->post_send(SendWr{.length = 10000});
   f.sim.run();
+  EXPECT_GT(f.wan_drops(), 0u);
   EXPECT_EQ(recv_done, n);
   EXPECT_EQ(qb->stats().msgs_received, static_cast<std::uint64_t>(n));
 }
 
 TEST(Reliability, UdLossIsSilentButCounted) {
-  auto f = lossy_fabric(0.2);
+  TwoNodeFabric f;
   f.sim.seed(5);
+  f.set_wan_loss(0.2);
   auto [qa, qb] = f.ud_pair();
   const int n = 500;
   for (int i = 0; i < n; ++i) qb->post_recv(RecvWr{});

@@ -192,20 +192,6 @@ TEST(Link, BufferDrainsAsPacketsSerialize) {
   EXPECT_EQ(delivered, 2);
 }
 
-TEST(Link, LossRateDropsSomePackets) {
-  Simulator sim;
-  Link link(sim, {.bytes_per_ns = 1.0, .propagation = 0, .loss_rate = 0.5},
-            "l");
-  int delivered = 0;
-  link.set_sink([&](Packet&&) { ++delivered; });
-  for (int i = 0; i < 1000; ++i) link.send(make_packet(10));
-  sim.run();
-  EXPECT_GT(delivered, 350);
-  EXPECT_LT(delivered, 650);
-  EXPECT_EQ(link.stats().packets_dropped_loss,
-            1000u - static_cast<unsigned>(delivered));
-}
-
 TEST(Link, StatsCountPacketsAndBytes) {
   Simulator sim;
   Link link(sim, {.bytes_per_ns = 1.0, .propagation = 0}, "l");

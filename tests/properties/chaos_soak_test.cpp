@@ -46,8 +46,7 @@ std::vector<std::uint64_t> soak_seeds() {
 
 void expect_conserved(const net::Link::Stats& s, const char* which) {
   EXPECT_EQ(s.bytes_sent, s.bytes_delivered + s.bytes_dropped) << which;
-  EXPECT_EQ(s.packets_sent, s.packets_delivered + s.packets_dropped_loss +
-                                s.packets_dropped_fault +
+  EXPECT_EQ(s.packets_sent, s.packets_delivered + s.packets_dropped_fault +
                                 s.packets_dropped_down)
       << which;
 }

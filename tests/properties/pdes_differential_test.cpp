@@ -1,5 +1,6 @@
 // PDES differential oracle (DESIGN.md §13): small versions of the
-// paper's heavy scenarios (fig5 RC bandwidth, fig12 NAS, ext_kv)
+// paper's heavy scenarios (fig5 RC bandwidth, fig12 NAS, ext_kv, TCP
+// on a lossy WAN)
 // executed on the sequential engine (IBWAN_THREADS=1, the exact path
 // the committed CSVs were generated with) and site-parallel under 2
 // and 4 worker threads. Simulated results, total event counts, merged
@@ -14,11 +15,13 @@
 #include <string>
 
 #include "apps/nas.hpp"
+#include "core/tcp_bench.hpp"
 #include "core/testbed.hpp"
 #include "ib/hca.hpp"
 #include "ib/perftest.hpp"
 #include "kv/kv.hpp"
 #include "mpi/mpi.hpp"
+#include "net/faults.hpp"
 #include "rpc/rpc.hpp"
 #include "sim/metrics.hpp"
 
@@ -106,6 +109,29 @@ Outcome ext_kv_small() {
   return o;
 }
 
+Outcome lossy_tcp_small() {
+  // i.i.d. WAN loss is a fault plan on named per-link RNG streams, so a
+  // lossy run still partitions one LP per site.
+  const net::FaultPlanConfig plan{.ge = {.loss_good = 0.01}};
+  core::Testbed tb(core::TestbedOptions{.wan_delay = 100'000,
+                                        .faults = &plan,
+                                        .metrics = true,
+                                        .par_sites = 2});
+  core::tcpbench::StreamConfig cfg;
+  cfg.tcp.sack = true;
+  cfg.bytes_per_stream = 1u << 20;
+  Outcome o;
+  o.result = core::tcpbench::tcp_throughput(tb, cfg);
+  EXPECT_GT(tb.fabric().wan_pair(0).wan_link_a_to_b().stats()
+                .packets_dropped_fault,
+            0u);
+  o.events = tb.engine().events_executed();
+  o.end = tb.now();
+  o.sites = tb.engine().sites();
+  o.metrics_json = json_of(tb.metrics_snapshot());
+  return o;
+}
+
 // Runs `scenario` once under the sequential oracle and once per
 // parallel thread budget, asserting every observable is bitwise equal.
 void expect_differential_identical(Outcome (*scenario)(), const char* name) {
@@ -135,6 +161,10 @@ TEST(PdesDifferential, Fig12NasFtByteIdentical) {
 
 TEST(PdesDifferential, ExtKvWorkloadByteIdentical) {
   expect_differential_identical(&ext_kv_small, "ext_kv_small");
+}
+
+TEST(PdesDifferential, LossyTcpByteIdentical) {
+  expect_differential_identical(&lossy_tcp_small, "lossy_tcp_small");
 }
 
 }  // namespace

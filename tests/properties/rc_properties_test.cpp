@@ -91,12 +91,11 @@ class RcLossTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(RcLossTest, ExactlyOnceDeliveryUnderLoss) {
   const double loss = GetParam();
-  net::FabricConfig fc{.nodes_a = 1, .nodes_b = 1};
-  fc.longbow.loss_rate = loss;
   HcaConfig hca;
   hca.rto = 2 * sim::kMillisecond;
-  TwoNodeFabric f(hca, fc);
+  TwoNodeFabric f(hca);
   f.sim.seed(static_cast<std::uint64_t>(loss * 1e6) + 17);
+  f.set_wan_loss(loss);
   auto [qa, qb] = f.rc_pair();
   const int n = 60;
   int recv_count = 0;

@@ -7,6 +7,7 @@
 #include "ib/hca.hpp"
 #include "ipoib/ipoib.hpp"
 #include "net/fabric.hpp"
+#include "net/faults.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/tcp.hpp"
 
@@ -14,9 +15,8 @@ namespace ibwan::tcp {
 namespace {
 
 struct World {
-  World(ipoib::IpoibConfig dev, TcpConfig cfg, sim::Duration delay,
-        double loss = 0)
-      : fabric(sim, make_fabric(loss)),
+  World(ipoib::IpoibConfig dev, TcpConfig cfg, sim::Duration delay)
+      : fabric(sim, {.nodes_a = 1, .nodes_b = 1}),
         hca_a(fabric.node(0), {}),
         hca_b(fabric.node(1), {}),
         dev_a(hca_a, dev),
@@ -25,11 +25,6 @@ struct World {
         stack_b(dev_b, cfg) {
     fabric.set_wan_delay(delay);
     ipoib::IpoibDevice::link(dev_a, dev_b);
-  }
-  static net::FabricConfig make_fabric(double loss) {
-    net::FabricConfig fc{.nodes_a = 1, .nodes_b = 1};
-    fc.longbow.loss_rate = loss;
-    return fc;
   }
   sim::Simulator sim;
   net::Fabric fabric;
@@ -121,8 +116,9 @@ INSTANTIATE_TEST_SUITE_P(Delays, TcpWindowMonotoneTest,
 class TcpLossTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(TcpLossTest, ConservationUnderLoss) {
-  World w({}, {}, /*delay=*/50'000, GetParam());
+  World w({}, {}, /*delay=*/50'000);
   w.sim.seed(99);
+  w.fabric.wan_pair(0).apply_faults({.ge = {.loss_good = GetParam()}});
   const std::uint64_t bytes = 3 << 20;
   const auto r = transfer(w, bytes);
   EXPECT_EQ(r.delivered, bytes);

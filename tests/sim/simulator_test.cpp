@@ -254,14 +254,15 @@ TEST(Simulator, DeterministicAcrossRunsWithSameSeed) {
   auto run_workload = [](std::uint64_t seed) {
     Simulator sim;
     sim.seed(seed);
+    Rng rng = sim.rng_stream("test");
     std::vector<std::uint64_t> trace;
     std::function<void()> tick = [&] {
       trace.push_back(sim.now());
       if (trace.size() < 500) {
-        sim.schedule(sim.rng().uniform(1, 100), tick);
+        sim.schedule(rng.uniform(1, 100), tick);
         if (trace.size() % 3 == 0) {
           EventId id =
-              sim.schedule(sim.rng().uniform(1, 100), [&] {
+              sim.schedule(rng.uniform(1, 100), [&] {
                 trace.push_back(~sim.now());
               });
           if (trace.size() % 6 == 0) sim.cancel(id);
@@ -285,10 +286,11 @@ TEST(Simulator, ManyEventsStressOrdering) {
   // middle, and the 4-ary sift paths.
   Simulator sim;
   sim.seed(123);
+  Rng rng = sim.rng_stream("test");
   std::vector<std::pair<Time, int>> fired;
   std::vector<EventId> ids;
   for (int i = 0; i < 2000; ++i) {
-    const Time t = sim.rng().uniform(0, 500);
+    const Time t = rng.uniform(0, 500);
     ids.push_back(
         sim.schedule_at(t, [&fired, &sim, i] { fired.push_back({sim.now(), i}); }));
   }

@@ -115,17 +115,18 @@ std::vector<std::string> run_seeded_workload(std::uint64_t seed) {
   fr.arm();
   struct Hop {
     Simulator* sim;
+    Rng rng;
     int remaining;
     void fire() {
       sim->recorder().record(sim->now(), TraceKind::kPktSend, "hop",
-                             sim->rng().uniform(1000));
+                             rng.uniform(1000));
       if (--remaining > 0) {
-        const Duration d = 1 + sim->rng().uniform(50);
+        const Duration d = 1 + rng.uniform(50);
         sim->schedule(d, [this] { fire(); });
       }
     }
   };
-  Hop hop{&sim, 40};
+  Hop hop{&sim, sim.rng_stream("test"), 40};
   sim.schedule(0, [&hop] { hop.fire(); });
   sim.run();
   fr.disarm();

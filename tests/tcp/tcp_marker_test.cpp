@@ -8,6 +8,7 @@
 #include "ib/hca.hpp"
 #include "ipoib/ipoib.hpp"
 #include "net/fabric.hpp"
+#include "net/faults.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/tcp.hpp"
 
@@ -15,8 +16,8 @@ namespace ibwan::tcp {
 namespace {
 
 struct MarkerWorld {
-  explicit MarkerWorld(double loss = 0)
-      : fabric(sim, make_fabric(loss)),
+  MarkerWorld()
+      : fabric(sim, {.nodes_a = 1, .nodes_b = 1}),
         hca_a(fabric.node(0), {}),
         hca_b(fabric.node(1), {}),
         dev_a(hca_a, {}),
@@ -24,11 +25,6 @@ struct MarkerWorld {
         stack_a(dev_a),
         stack_b(dev_b) {
     ipoib::IpoibDevice::link(dev_a, dev_b);
-  }
-  static net::FabricConfig make_fabric(double loss) {
-    net::FabricConfig fc{.nodes_a = 1, .nodes_b = 1};
-    fc.longbow.loss_rate = loss;
-    return fc;
   }
   sim::Simulator sim;
   net::Fabric fabric;
@@ -88,8 +84,9 @@ TEST(TcpMarkers, LargeRecordSpansManySegments) {
 }
 
 TEST(TcpMarkers, ExactlyOnceUnderLoss) {
-  MarkerWorld w(0.01);
-  w.sim.seed(77);
+  MarkerWorld w;
+  w.sim.seed(78);
+  w.fabric.wan_pair(0).apply_faults({.ge = {.loss_good = 0.01}});
   std::vector<int> got;
   w.stack_b.listen(9, [&](TcpConnection& c) {
     c.set_on_marker([&](std::shared_ptr<const void> m) {
@@ -101,6 +98,9 @@ TEST(TcpMarkers, ExactlyOnceUnderLoss) {
   w.sim.run();
   ASSERT_EQ(got.size(), 100u) << "markers lost or duplicated";
   for (int i = 0; i < 100; ++i) EXPECT_EQ(got[i], i);
+  EXPECT_GT(w.fabric.wan_pair(0).wan_link_a_to_b().stats()
+                .packets_dropped_fault,
+            0u);
   EXPECT_GT(c.stats().retransmits + c.stats().fast_retransmits, 0u);
 }
 

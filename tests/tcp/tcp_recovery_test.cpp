@@ -8,6 +8,7 @@
 #include "ib/hca.hpp"
 #include "ipoib/ipoib.hpp"
 #include "net/fabric.hpp"
+#include "net/faults.hpp"
 #include "net/wan.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/tcp.hpp"
@@ -19,7 +20,7 @@ using namespace ibwan::sim::literals;
 
 struct World {
   World(bool sack, double loss, sim::Duration delay, std::uint64_t seed = 3)
-      : fabric(sim, make_fabric(loss)),
+      : fabric(sim, {.nodes_a = 1, .nodes_b = 1}),
         hca_a(fabric.node(0), {}),
         hca_b(fabric.node(1), {}),
         dev_a(hca_a, {}),
@@ -28,12 +29,8 @@ struct World {
         stack_b(dev_b, make_tcp(sack)) {
     sim.seed(seed);
     fabric.set_wan_delay(delay);
+    fabric.wan_pair(0).apply_faults({.ge = {.loss_good = loss}});
     ipoib::IpoibDevice::link(dev_a, dev_b);
-  }
-  static net::FabricConfig make_fabric(double loss) {
-    net::FabricConfig fc{.nodes_a = 1, .nodes_b = 1};
-    fc.longbow.loss_rate = loss;
-    return fc;
   }
   static TcpConfig make_tcp(bool sack) {
     TcpConfig cfg;

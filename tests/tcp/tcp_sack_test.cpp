@@ -8,6 +8,7 @@
 #include "ib/hca.hpp"
 #include "ipoib/ipoib.hpp"
 #include "net/fabric.hpp"
+#include "net/faults.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/tcp.hpp"
 
@@ -19,7 +20,7 @@ using namespace ibwan::sim::literals;
 struct SackWorld {
   SackWorld(bool sack, double loss, sim::Duration delay,
             std::uint64_t seed = 3)
-      : fabric(sim, make_fabric(loss)),
+      : fabric(sim, {.nodes_a = 1, .nodes_b = 1}),
         hca_a(fabric.node(0), {}),
         hca_b(fabric.node(1), {}),
         dev_a(hca_a, {}),
@@ -28,17 +29,19 @@ struct SackWorld {
         stack_b(dev_b, make_tcp(sack)) {
     sim.seed(seed);
     fabric.set_wan_delay(delay);
+    fabric.wan_pair(0).apply_faults({.ge = {.loss_good = loss}});
     ipoib::IpoibDevice::link(dev_a, dev_b);
-  }
-  static net::FabricConfig make_fabric(double loss) {
-    net::FabricConfig fc{.nodes_a = 1, .nodes_b = 1};
-    fc.longbow.loss_rate = loss;
-    return fc;
   }
   static TcpConfig make_tcp(bool sack) {
     TcpConfig cfg;
     cfg.sack = sack;
     return cfg;
+  }
+  /// Packets the WAN loss model dropped, both directions.
+  std::uint64_t wan_drops() {
+    net::LongbowPair& wan = fabric.wan_pair(0);
+    return wan.wan_link_a_to_b().stats().packets_dropped_fault +
+           wan.wan_link_b_to_a().stats().packets_dropped_fault;
   }
   sim::Simulator sim;
   net::Fabric fabric;
@@ -74,6 +77,7 @@ TEST(TcpSack, ConservationUnderHeavyLoss) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     SackWorld w(true, 0.02, 100_us, seed);
     const auto out = transfer(w, 8 << 20);
+    EXPECT_GT(w.wan_drops(), 0u) << seed;
     EXPECT_EQ(out.delivered, 8u << 20) << seed;
   }
 }
@@ -91,6 +95,7 @@ TEST(TcpSack, MarkersExactlyOnceUnderLoss) {
     c.send_marked(10'000, std::make_shared<int>(i));
   }
   w.sim.run();
+  EXPECT_GT(w.wan_drops(), 0u);
   ASSERT_EQ(got.size(), 80u);
   for (int i = 0; i < 80; ++i) EXPECT_EQ(got[i], i);
 }
@@ -122,6 +127,7 @@ TEST(TcpSack, OutOfOrderBufferMergesRanges) {
   // all must drain with no duplicate delivery.
   SackWorld w(true, 0.05, 100_us, 9);
   const auto out = transfer(w, 4 << 20);
+  EXPECT_GT(w.wan_drops(), 0u);
   EXPECT_EQ(out.delivered, 4u << 20);  // exactly once
 }
 

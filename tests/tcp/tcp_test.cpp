@@ -7,6 +7,7 @@
 #include "ib/hca.hpp"
 #include "ipoib/ipoib.hpp"
 #include "net/fabric.hpp"
+#include "net/faults.hpp"
 #include "sim/simulator.hpp"
 
 namespace ibwan::tcp {
@@ -158,10 +159,9 @@ TEST(Tcp, LargerWindowsHelpUnderDelay) {
 }
 
 TEST(Tcp, RecoversFromWanLoss) {
-  net::FabricConfig fab{.nodes_a = 1, .nodes_b = 1};
-  fab.longbow.loss_rate = 0.005;
-  TcpWorld w({}, {}, fab);
+  TcpWorld w;
   w.sim.seed(3);
+  w.fabric.wan_pair(0).apply_faults({.ge = {.loss_good = 0.005}});
   std::uint64_t delivered = 0;
   w.stack_b.listen(5001, [&](TcpConnection& c) {
     c.set_on_delivered([&](std::uint64_t n) { delivered += n; });
@@ -171,6 +171,9 @@ TEST(Tcp, RecoversFromWanLoss) {
   w.sim.run();
   EXPECT_EQ(delivered, 8u << 20);
   EXPECT_EQ(client.bytes_acked(), 8u << 20);
+  EXPECT_GT(w.fabric.wan_pair(0).wan_link_a_to_b().stats()
+                .packets_dropped_fault,
+            0u);
   EXPECT_GT(client.stats().retransmits + client.stats().fast_retransmits,
             0u);
 }

@@ -3,9 +3,8 @@
 Every figure this repository reproduces depends on byte-identical
 deterministic replay.  This package makes the determinism contract
 machine-checked instead of review-checked: a small rule engine walks a
-token-level model of each translation unit (plus an optional libclang
-AST backend when `clang.cindex` is importable) and reports violations
-of the rules catalogued in DESIGN.md §10.
+token-level model of each translation unit and reports violations of
+the rules catalogued in DESIGN.md §10.
 
 Since v2 the engine is two-pass and flow-aware: pass 1 distills every
 file into a `FileSummary` (function spans, a lightweight call graph,

@@ -150,7 +150,7 @@ def rule_det001(sf: SourceFile, ctx: ProjectContext) -> Iterable[Finding]:
         if name in _BANNED_TYPES and not _is_member_access(toks, i):
             yield Finding("DET001", sf.path, t.line, t.col,
                           f"use of `{name}`: {_BANNED_TYPES[name]}; "
-                          "draw from Simulator::rng()/rng_stream() instead")
+                          "draw from Simulator::rng_stream() instead")
             continue
         nxt = toks[i + 1] if i + 1 < n else None
         is_call = nxt is not None and nxt.kind == PUNCT and nxt.text == "("
@@ -407,7 +407,7 @@ def rule_det004(sf: SourceFile, ctx: ProjectContext) -> Iterable[Finding]:
                 "DET004", sf.path, t.line, t.col,
                 f"`std::{t.text}`: <random> engines are "
                 "implementation-defined and bypass the simulator seed; all "
-                "draws must come from Simulator::rng()/rng_stream()")
+                "draws must come from Simulator::rng_stream()")
             continue
         if t.text == "Rng" and sf.in_function(i):
             # Default-constructed sim::Rng inside a function: a fixed
@@ -1057,7 +1057,7 @@ RULE_DOCS = {
               "(schedule/trace/metrics/output in the loop body).",
     "DET003": "No ordering keyed on pointer values (std::map<T*,...>, "
               "std::less<T*>).",
-    "DET004": "RNG draws must route through Simulator::rng()/rng_stream(); "
+    "DET004": "RNG draws must route through Simulator::rng_stream(); "
               "no <random> engines, no default-seeded sim::Rng locals.",
     "DET005": "Cross-site event injection must go through the WAN channel "
               "API; no site(i)/sim_of*/sim_for(...).schedule[_at](...).",

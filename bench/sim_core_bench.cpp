@@ -40,7 +40,6 @@
 #include "ib/cq.hpp"
 #include "ib/hca.hpp"
 #include "ib/qp.hpp"
-#include "kv/kv.hpp"
 #include "kv/loadgen.hpp"
 #include "kv/replicated.hpp"
 #include "kv/slo.hpp"
@@ -416,25 +415,32 @@ PdesRun run_nas_scenario(const apps::NasBenchmark& b, int per_cluster) {
   return {tb.engine().events_executed(), secs};
 }
 
-PdesRun run_kv_scenario(int clients, int ops_per_client) {
+PdesRun run_kv_scenario(int clients, std::uint64_t ops_per_client) {
   core::Testbed tb(1, 1'000'000);
-  ib::Hca server_hca(tb.fabric().node(tb.node_a()), {});
-  ib::Hca client_hca(tb.fabric().node(tb.node_b()), {});
+  const net::NodeId server = tb.node_a();
+  const net::NodeId client = tb.node_b();
+  ib::Hca server_hca(tb.fabric().node(server), {});
+  ib::Hca client_hca(tb.fabric().node(client), {});
   rpc::RdmaRpcServer rpc_server(server_hca);
   rpc::RdmaRpcClient rpc_client(client_hca, rpc_server);
-  kv::KvServer server(tb.sim_a());
-  rpc_server.set_handler(server.handler());
-  for (std::uint64_t k = 0; k < 256; ++k) server.preload(k, 4096);
-  kv::KvClient client(rpc_client);
-  const kv::KvResult r =
-      kv::run_kv_workload(tb.sim_for(tb.node_b()), client,
-                          {.clients = clients,
-                           .ops_per_client = ops_per_client,
-                           .get_fraction = 0.9,
-                           .value_bytes = 4096,
-                           .key_space = 256},
-                          &tb.engine());
-  return {tb.engine().events_executed(), r.kops_per_sec};
+  kv::ReplicaServer replica(tb.sim_for(server), server);
+  rpc_server.set_handler(replica.handler());
+  for (std::uint64_t k = 0; k < 256; ++k) replica.preload(k, 4096);
+  kv::ReplicatedKv coord(tb.sim_for(client), client, {&rpc_client},
+                         kv::QuorumConfig{.read_quorum = 1,
+                                          .write_quorum = 1});
+  kv::LoadGen gen(tb.sim_for(client), coord,
+                  {.mode = kv::ArrivalMode::kClosed,
+                   .concurrency = clients,
+                   .total_ops = clients * ops_per_client,
+                   .get_fraction = 0.9,
+                   .key_space = 256,
+                   .zipf_s = 0,
+                   .value_bytes = 4096});
+  gen.start();
+  tb.engine().run();
+  return {tb.engine().events_executed(),
+          kv::make_slo_report(gen.stats()).goodput_kops};
 }
 
 /// Concurrent RC incast on an N-site hub/spoke graph (one node per

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Double-run determinism check: regenerates a representative slice of
 # the paper CSVs (fig5 RC bandwidth, fig9 MPI threshold, the RC-window
-# ablation, the SDR, N-site incast, and replicated-KV serving
-# extensions) twice for each of two seeds and byte-compares the runs.
+# ablation, the SDR, N-site incast, single-replica KV and replicated-KV
+# serving extensions) twice for each of two seeds and byte-compares the runs.
 # Any diff means a nondeterminism bug escaped ibwan-lint — the CSVs the
 # repo publishes could silently depend on hash order, addresses, or
 # wall clock.
@@ -16,7 +16,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-${IBWAN_BUILD_DIR:-build}}"
 BENCHES=(fig5_rc_bandwidth fig9_mpi_threshold ablation_rc_window ext_sdr_fec
-         ext_incast ext_kv_serving)
+         ext_incast ext_kv_datacenter ext_kv_serving)
 SEEDS=(42 1337)
 
 for b in "${BENCHES[@]}"; do

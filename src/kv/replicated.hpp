@@ -72,7 +72,7 @@ struct ReplicaConfig {
 
 /// One replica server: a versioned store with monotone last-writer-wins
 /// apply, dispatched behind any RPC transport. Requests serialize on a
-/// single server CPU like the single-server KvServer.
+/// single server CPU.
 class ReplicaServer {
  public:
   /// Accounting; requests == replies is oracle-checked per scope

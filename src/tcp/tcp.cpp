@@ -171,10 +171,14 @@ void TcpConnection::on_segment(const Segment& seg) {
 }
 
 void TcpConnection::on_data(const Segment& seg) {
-  if (seg.seq == rcv_nxt_) {
+  const std::uint64_t end = seg.seq + seg.len;
+  if (seg.seq <= rcv_nxt_ && end > rcv_nxt_) {
+    // In order, or a resend cut at other boundaries whose head was
+    // already delivered: trim the old prefix, deliver the rest.
     keep_markers(seg);
-    rcv_nxt_ += seg.len;
-    if (on_delivered_) on_delivered_(seg.len);
+    const std::uint64_t fresh = end - rcv_nxt_;
+    rcv_nxt_ = end;
+    if (on_delivered_) on_delivered_(fresh);
     flush_ready_markers();
     if (cfg_.sack && !ooo_.empty()) {
       drain_ooo();
@@ -237,7 +241,9 @@ void TcpConnection::keep_markers(const Segment& seg) {
   const auto by_offset = [](const auto& a, const auto& b) {
     return a.first < b.first;
   };
+  // Markers at or below rcv_nxt_ have already fired.
   for (const auto& m : seg.markers) {
+    if (m.first <= rcv_nxt_) continue;
     const auto [lo, hi] = std::equal_range(
         rcv_markers_.begin(), rcv_markers_.end(), m, by_offset);
     if (std::find(lo, hi, m) == hi) rcv_markers_.insert(hi, m);
@@ -406,7 +412,10 @@ void TcpConnection::pump() {
     const std::uint32_t len = static_cast<std::uint32_t>(std::min<std::uint64_t>(
         {static_cast<std::uint64_t>(mss), app_bytes_ - snd_nxt_, room}));
     if (len == 0) break;
-    if (snd_nxt_ < snd_una_ + static_cast<std::uint64_t>(cwnd_)) {
+    // Karn: a resent byte's ack cannot tell which copy it answers, so
+    // only a first transmission may carry the RTT probe.
+    if (snd_nxt_ >= rewind_high_ &&
+        snd_nxt_ < snd_una_ + static_cast<std::uint64_t>(cwnd_)) {
       if (!rtt_probe_) rtt_probe_ = {snd_nxt_, stack_.sim().now()};
     }
     emit(snd_nxt_, len, false, false, false);

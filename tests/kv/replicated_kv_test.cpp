@@ -2,13 +2,17 @@
 // completion, read repair, monotone apply, and the failure edge cases —
 // a replica down mid-quorum must not block completion, and all replicas
 // unreachable must resolve to a clean timeout/abort instead of a hang.
+// At N=1, R=W=1 it is a single-server KV store: get/put, the WAN round
+// trip, and closed-loop LoadGen runs.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "ib/hca.hpp"
+#include "kv/loadgen.hpp"
 #include "kv/replicated.hpp"
+#include "kv/slo.hpp"
 #include "net/fabric.hpp"
 #include "rpc/rpc.hpp"
 #include "sim/simulator.hpp"
@@ -31,14 +35,15 @@ rpc::Handler black_hole(sim::Simulator& sim) {
   };
 }
 
-/// Client on node 0, three RC-transport replicas on nodes 1..3.
+/// Client on node 0 in site A; `n` RC-transport replicas on nodes 1..n,
+/// all in site B, so every replica call crosses the WAN.
 struct World {
-  explicit World(kv::QuorumConfig qc, sim::Duration delay = 0)
-      : fabric(sim, {.nodes_a = 2, .nodes_b = 2}),
+  explicit World(kv::QuorumConfig qc, sim::Duration delay = 0, int n = 3)
+      : fabric(sim, {.nodes_a = 1, .nodes_b = n}),
         client_hca(fabric.node(0), {}) {
     fabric.set_wan_delay(delay);
     std::vector<rpc::RpcClient*> channels;
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < n; ++i) {
       const net::NodeId node = static_cast<net::NodeId>(i + 1);
       hcas.push_back(std::make_unique<ib::Hca>(fabric.node(node),
                                                ib::HcaConfig{}));
@@ -62,6 +67,9 @@ struct World {
   std::vector<std::unique_ptr<rpc::RdmaRpcClient>> clients;
   std::unique_ptr<kv::ReplicatedKv> coord;
 };
+
+/// One replica, read and write quorums of one: a single-server store.
+constexpr kv::QuorumConfig kSingle{.read_quorum = 1, .write_quorum = 1};
 
 TEST(QuorumConfig, ValidateRejectsUnsafeAndMalformedConfigs) {
   kv::QuorumConfig qc;  // defaults: R=2, W=2
@@ -201,6 +209,91 @@ TEST(ReplicatedKv, AllReplicasUnreachableResolvesCleanlyNotHang) {
   EXPECT_EQ(w.coord->stats().retries, 2u);
   // Ladder: 5 + 10 + 20 ms of attempt deadlines.
   EXPECT_GE(w.sim.now(), 35 * sim::kMillisecond);
+}
+
+TEST(ReplicatedKv, SingleReplicaGetReturnsSizeAndMissReturnsZero) {
+  World w(kSingle, 0, 1);
+  w.replicas[0]->preload(5, 4096);
+  kv::OpResult hit{}, miss{};
+  [](World& ww, kv::OpResult* h, kv::OpResult* m) -> sim::Task {
+    *h = co_await ww.coord->get(5);
+    *m = co_await ww.coord->get(6);
+  }(w, &hit, &miss);
+  w.sim.run();
+  EXPECT_EQ(hit.status, kv::OpStatus::kCompleted);
+  EXPECT_EQ(hit.value_bytes, 4096u);
+  EXPECT_EQ(miss.status, kv::OpStatus::kCompleted);
+  EXPECT_EQ(miss.value_bytes, 0u);
+  EXPECT_EQ(w.replicas[0]->stats().reads_served, 2u);
+  EXPECT_EQ(w.replicas[0]->stats().read_misses, 1u);
+}
+
+TEST(ReplicatedKv, SingleReplicaPutStoresValue) {
+  World w(kSingle, 0, 1);
+  kv::OpResult put{};
+  [](World& ww, kv::OpResult* p) -> sim::Task {
+    *p = co_await ww.coord->put(9, 100'000);
+  }(w, &put);
+  w.sim.run();
+  EXPECT_EQ(put.status, kv::OpStatus::kCompleted);
+  EXPECT_EQ(w.replicas[0]->value_size(9), 100'000u);
+  EXPECT_EQ(w.replicas[0]->version_of(9), put.version);
+  EXPECT_EQ(w.replicas[0]->stats().writes_applied, 1u);
+}
+
+TEST(ReplicatedKv, SingleReplicaGetLatencyTracksWanDelay) {
+  auto latency_us = [](sim::Duration delay) {
+    World w(kSingle, delay, 1);
+    w.replicas[0]->preload(1, 128);
+    sim::Time t0 = 0, t1 = 0;
+    [](World& ww, sim::Time* a, sim::Time* b) -> sim::Task {
+      *a = ww.sim.now();
+      co_await ww.coord->get(1);
+      *b = ww.sim.now();
+    }(w, &t0, &t1);
+    w.sim.run();
+    return sim::to_microseconds(t1 - t0);
+  };
+  const double lan = latency_us(0);
+  const double wan = latency_us(1000_us);
+  EXPECT_GT(wan, 2000.0);  // one RPC round trip
+  EXPECT_LT(wan, 2100.0);
+  EXPECT_LT(lan, 100.0);
+}
+
+/// Closed-loop run of `concurrency` workers, `ops_each` ops apiece,
+/// against one replica at `delay` one-way.
+kv::LoadStats closed_loop(sim::Duration delay, int concurrency,
+                          std::uint64_t ops_each) {
+  World w(kSingle, delay, 1);
+  for (std::uint64_t k = 0; k < 64; ++k) w.replicas[0]->preload(k, 1024);
+  kv::LoadGen gen(w.sim, *w.coord,
+                  {.mode = kv::ArrivalMode::kClosed,
+                   .concurrency = concurrency,
+                   .total_ops = ops_each * concurrency,
+                   .key_space = 64,
+                   .zipf_s = 0,
+                   .value_bytes = 1024});
+  gen.start();
+  w.sim.run();
+  EXPECT_TRUE(gen.done());
+  return gen.stats();
+}
+
+TEST(ReplicatedKv, ClosedLoopLoadGenResolvesEveryOp) {
+  const kv::LoadStats st = closed_loop(100_us, 4, 50);
+  EXPECT_EQ(st.issued, 200u);
+  EXPECT_EQ(st.completed, 200u);
+  EXPECT_EQ(st.timed_out + st.aborted, 0u);
+  EXPECT_GT(st.latency_us.mean(), 200.0);  // at least the RTT
+}
+
+TEST(ReplicatedKv, ClosedLoopConcurrencyRaisesGoodputUnderDelay) {
+  const auto kops = [](int concurrency) {
+    return kv::make_slo_report(closed_loop(1000_us, concurrency, 40))
+        .goodput_kops;
+  };
+  EXPECT_GT(kops(8), 4.0 * kops(1));
 }
 
 }  // namespace

@@ -122,5 +122,41 @@ TEST(TcpMarkers, InterleavedPlainAndMarkedSends) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(TcpMarkers, PartiallyNewSegmentDeliversOnlyItsNewBytes) {
+  // The test plays the client by hand on node a, so it can send a resend
+  // cut at other boundaries than the original: [500, 1500) after
+  // [0, 1000) has been delivered. Its last 500 bytes are new.
+  MarkerWorld w;
+  w.dev_a.set_ip_sink([](ipoib::IpPacket&&) {});  // drop the server's acks
+  std::uint64_t delivered = 0;
+  std::vector<int> got;
+  w.stack_b.listen(9, [&](TcpConnection& c) {
+    c.set_on_delivered([&](std::uint64_t n) { delivered += n; });
+    c.set_on_marker([&](std::shared_ptr<const void> m) {
+      got.push_back(*static_cast<const int*>(m.get()));
+    });
+  });
+  const auto inject = [&w](Segment seg) {
+    seg.src_port = 40000;
+    seg.dst_port = 9;
+    seg.wnd = 1 << 20;
+    ipoib::IpPacket pkt;
+    pkt.dst = w.dev_b.lid();
+    pkt.payload_bytes = seg.len;
+    pkt.l4 = std::make_shared<Segment>(std::move(seg));
+    w.dev_a.send_ip(std::move(pkt));
+    w.sim.run();
+  };
+  inject({.syn = true});
+  inject({.seq = 0, .len = 1000, .markers = {{500, tag(1)}, {1000, tag(2)}}});
+  ASSERT_EQ(delivered, 1000u);
+  // Marker 2 ends at the old rcv_nxt: it has fired and must not again.
+  inject({.seq = 500,
+          .len = 1000,
+          .markers = {{1000, tag(2)}, {1500, tag(3)}}});
+  EXPECT_EQ(delivered, 1500u);
+  EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
+}
+
 }  // namespace
 }  // namespace ibwan::tcp

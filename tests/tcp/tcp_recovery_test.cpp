@@ -117,5 +117,26 @@ TEST(TcpRecovery, SackResendsTailHoleWithoutRtoFloor) {
   EXPECT_GT(out.stats.retransmits, 0u);
 }
 
+TEST(TcpRecovery, GoBackNResendsNeverFeedTheRttEstimator) {
+  // Regression (Karn's rule): pump() armed the RTT probe on go-back-N
+  // resends too. The ack of the first copy, already on its way back,
+  // then closed the probe microseconds after the resend, dragging srtt
+  // far below the path RTT, and the shrunken RTO fired spuriously.
+  World w(/*sack=*/false, /*loss=*/0.0, /*delay=*/10'000_us);
+  net::FaultPlanConfig bursty;
+  bursty.ge.p_good_to_bad = 0.002;
+  bursty.ge.p_bad_to_good = 0.1;
+  bursty.ge.loss_good = 0.0001;
+  bursty.ge.loss_bad = 0.2;
+  w.fabric.wan_pair(0).apply_faults(bursty);
+  const auto out = transfer(w, 2 << 20);
+  EXPECT_EQ(out.delivered, 2u << 20);
+  EXPECT_GT(out.stats.retransmits, 0u);
+  EXPECT_GE(out.stats.srtt_us, 20'000.0);  // never below the 20 ms RTT
+  // Fast retransmit recovers every burst of this run; with srtt shrunk
+  // the timer used to fire ~50 times as well.
+  EXPECT_EQ(out.stats.rto_fires, 0u);
+}
+
 }  // namespace
 }  // namespace ibwan::tcp

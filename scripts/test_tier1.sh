@@ -20,13 +20,15 @@ if [[ ! -f "${BUILD_DIR}/CMakeCache.txt" ]]; then
 fi
 
 # Test binaries all end in _tests; building just those keeps the loop
-# fast when bench/ or examples/ are mid-edit.
+# fast when bench/ or examples/ are mid-edit. sim_core_bench is the one
+# bench a tier1 test runs (sim_core_bench_rejects_unknown_arg).
 mapfile -t TARGETS < <(
   cmake --build "${BUILD_DIR}" --target help 2>/dev/null \
     | sed -n 's/^\.\.\. \([A-Za-z0-9_]*_tests\)$/\1/p'
 )
 if [[ "${#TARGETS[@]}" -gt 0 ]]; then
-  cmake --build "${BUILD_DIR}" -j "$(nproc)" --target "${TARGETS[@]}"
+  cmake --build "${BUILD_DIR}" -j "$(nproc)" \
+    --target "${TARGETS[@]}" sim_core_bench
 else
   cmake --build "${BUILD_DIR}" -j "$(nproc)"
 fi

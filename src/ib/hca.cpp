@@ -43,13 +43,6 @@ void Hca::destroy_qp(Qpn qpn) {
   std::erase_if(qps_, [qpn](const auto& qp) { return qp->qpn() == qpn; });
 }
 
-Mr Hca::register_mr(std::uint64_t length) {
-  Mr mr{.addr = next_mr_addr_, .length = length, .rkey = next_rkey_++};
-  // Page-align the next region so addresses stay visually distinct.
-  next_mr_addr_ += (length + 4095) & ~std::uint64_t{4095};
-  return mr;
-}
-
 void Hca::transmit(Lid dst, std::shared_ptr<const IbPacket> head,
                    std::uint32_t count, std::uint32_t header_bytes,
                    bool control) {

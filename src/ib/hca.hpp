@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "ib/cq.hpp"
@@ -52,14 +51,6 @@ class Hca {
 
   RcQp& create_rc_qp(Cq& send_cq, Cq& recv_cq);
   UdQp& create_ud_qp(Cq& send_cq, Cq& recv_cq);
-
-  /// Registers a memory region of `length` bytes in the node's simulated
-  /// address space and returns its token.
-  Mr register_mr(std::uint64_t length);
-
-  /// 64-bit word at a simulated address — the target store for RDMA
-  /// atomics (fetch-add / compare-swap). Unwritten words read as zero.
-  std::uint64_t& memory_word(std::uint64_t addr) { return memory_[addr]; }
 
   /// Removes a QP. Runs it already handed to the transmit engine still
   /// go out (they own their headers); later inbound packets for its qpn
@@ -119,9 +110,6 @@ class Hca {
   std::vector<std::unique_ptr<QpBase>> qps_;
   std::vector<QpBase*> qp_index_;  // by qpn; null = unknown/destroyed
   Qpn next_qpn_ = 1;
-  std::uint64_t next_mr_addr_ = 0x1000;
-  std::uint32_t next_rkey_ = 1;
-  std::unordered_map<std::uint64_t, std::uint64_t> memory_;
   sim::Fifo<TxItem> txq_data_;
   sim::Fifo<TxItem> txq_ctrl_;
   net::Packet tx_pkt_;  // the packet paying its tx cost (while tx_busy_)

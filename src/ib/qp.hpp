@@ -13,9 +13,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "ib/cq.hpp"
 #include "ib/verbs.hpp"
@@ -25,22 +23,6 @@
 namespace ibwan::ib {
 
 class Hca;
-class RcQp;
-
-/// Shared receive queue: a pool of receive WQEs consumed by any RC QP
-/// attached to it (how middleware scales receive buffering across many
-/// connections).
-class Srq {
- public:
-  void post_recv(const RecvWr& wr);
-  void attach(RcQp* qp) { qps_.push_back(qp); }
-  std::size_t depth() const { return q_.size(); }
-
- private:
-  friend class RcQp;
-  std::deque<RecvWr> q_;
-  std::vector<RcQp*> qps_;
-};
 
 class QpBase {
  public:
@@ -88,21 +70,16 @@ class RcQp : public QpBase {
   RcQp(Hca& hca, Qpn qpn, Cq& send_cq, Cq& recv_cq);
   ~RcQp() override;
 
-  /// One-sided connection setup (LID + QPN exchange is assumed done
-  /// out-of-band by the subnet/communication manager).
+  /// One-sided connection setup. The LID + QPN exchange happens out of
+  /// band, as in the paper's middleware (MVAPICH2 swaps QP numbers
+  /// through its process manager), so no handshake crosses the
+  /// simulated wire.
   void connect(Lid remote_lid, Qpn remote_qpn);
   bool connected() const { return remote_qpn_ != 0; }
   Lid remote_lid() const { return remote_lid_; }
 
   void post_send(const SendWr& wr);
   void post_recv(const RecvWr& wr);
-
-  /// Attaches a shared receive queue; incoming sends consume from it
-  /// when the QP's own receive queue is empty.
-  void set_srq(Srq* srq) {
-    srq_ = srq;
-    srq->attach(this);
-  }
 
   /// Observer for completed inbound RDMA writes (address, byte count,
   /// immediate-present). Fires once per write message, at placement time.
@@ -141,8 +118,6 @@ class RcQp : public QpBase {
     std::uint32_t imm = 0;
     bool has_imm = false;
     std::uint64_t read_wr_id = 0;
-    std::uint64_t atomic_value = 0;
-    std::uint64_t atomic_compare = 0;
     std::shared_ptr<const void> app_payload;
   };
   struct PendingRead {
@@ -151,7 +126,6 @@ class RcQp : public QpBase {
     int retries = 0;
   };
 
-  friend class Srq;
   void try_transmit();
   void start_message(const SendWr& wr, bool internal,
                      std::uint64_t read_wr_id);
@@ -195,11 +169,8 @@ class RcQp : public QpBase {
   std::uint32_t pkts_since_ack_ = 0;
   bool nak_outstanding_ = false;
   std::deque<RecvWr> rq_;
-  Srq* srq_ = nullptr;
   std::deque<IncomingMsg> unclaimed_;  // sends that arrived before a recv
   std::function<void(std::uint64_t, std::uint64_t, bool)> rdma_listener_;
-  /// Requester-side atomics awaiting their response: wr_id -> request.
-  std::unordered_map<std::uint64_t, SendWr> pending_atomics_;
 
   Stats stats_;
 

@@ -15,21 +15,7 @@ namespace {
 std::uint64_t packet_count(std::uint64_t len, std::uint32_t mtu) {
   return len == 0 ? 1 : (len + mtu - 1) / mtu;
 }
-
-bool is_atomic(Opcode op) {
-  return op == Opcode::kFetchAdd || op == Opcode::kCompareSwap;
-}
-
-/// Atomics and their replies travel as fixed-size control messages
-/// inside the reliable stream (which gives them exactly-once execution).
-constexpr std::uint64_t kAtomicMsgBytes = 32;
 }  // namespace
-
-void Srq::post_recv(const RecvWr& wr) {
-  q_.push_back(wr);
-  // A refill may unblock any attached QP holding unclaimed messages.
-  for (RcQp* qp : qps_) qp->match_receives();
-}
 
 RcQp::RcQp(Hca& hca, Qpn qpn, Cq& send_cq, Cq& recv_cq)
     : QpBase(hca, qpn, send_cq, recv_cq) {
@@ -75,21 +61,12 @@ void RcQp::post_send(const SendWr& wr) {
   if (error_) {
     // Error state: complete immediately, flushed.
     flush_wqe(wr.opcode == Opcode::kRdmaRead ? CqeType::kRdmaReadComplete
-              : is_atomic(wr.opcode)         ? CqeType::kAtomicComplete
                                              : CqeType::kSendComplete,
               wr);
     return;
   }
   if (wr.opcode == Opcode::kRdmaRead) {
     issue_read(wr);
-    return;
-  }
-  if (is_atomic(wr.opcode)) {
-    SendWr req = wr;
-    req.length = kAtomicMsgBytes;
-    pending_atomics_[req.wr_id] = req;
-    sq_.push_back(req);
-    try_transmit();
     return;
   }
   sq_.push_back(wr);
@@ -135,10 +112,6 @@ void RcQp::try_transmit() {
 
 void RcQp::start_message(const SendWr& wr, bool internal,
                          std::uint64_t read_wr_id) {
-  if (read_wr_id == 0 &&
-      (is_atomic(wr.opcode) || wr.opcode == Opcode::kAtomicResp)) {
-    read_wr_id = wr.wr_id;  // atomics correlate request and response
-  }
   const std::uint32_t mtu = hca_.config().mtu;
   const std::uint64_t pkts = packet_count(wr.length, mtu);
   InflightMsg m{.wr = wr,
@@ -185,8 +158,6 @@ void RcQp::emit_packets(const InflightMsg& m, std::uint64_t from_psn,
     pkt.has_imm = (m.wr.opcode == Opcode::kSend ||
                    m.wr.opcode == Opcode::kRdmaWriteWithImm);
     pkt.read_wr_id = read_wr_id;
-    pkt.atomic_value = m.wr.atomic_operand;
-    pkt.atomic_compare = m.wr.atomic_compare;
   }
   run[n - 1].app_payload = m.wr.app_payload;  // psn end_psn carries it
   const IbPacket* head = run.get();
@@ -210,13 +181,7 @@ void RcQp::handle_ack(std::uint64_t ack_psn) {
     if (m.internal) {
       // A fully-acked read response; allow future requests for this id.
       active_read_resps_.erase(m.wr.wr_id);
-    }
-    if (is_atomic(m.wr.opcode)) {
-      // The atomic request is on the wire reliably; its completion
-      // comes with the kAtomicResp message, not the ack.
-      continue;
-    }
-    if (!m.internal) {
+    } else {
       ++stats_.send_completions;
       obs_.send_completions->add();
       send_cq_->push_after(hca_.config().cqe_latency,
@@ -245,11 +210,9 @@ void RcQp::retransmit_from(std::uint64_t psn) {
     obs_.pkts_retransmitted->add(m.end_psn - from + 1);
     hca_.sim().recorder().record(hca_.sim().now(), sim::TraceKind::kRetransmit,
                                  trace_tag_, from, next_psn_);
-    // Read/atomic traffic must re-carry its correlation id.
-    const bool correlated = m.wr.opcode == Opcode::kRdmaReadResp ||
-                            m.wr.opcode == Opcode::kAtomicResp ||
-                            is_atomic(m.wr.opcode);
-    emit_packets(m, from, correlated ? m.wr.wr_id : 0);
+    // A read response must re-carry its correlation id.
+    emit_packets(m, from,
+                 m.wr.opcode == Opcode::kRdmaReadResp ? m.wr.wr_id : 0);
   }
 }
 
@@ -297,8 +260,7 @@ void RcQp::enter_error() {
   obs_.retries_exhausted->add();
   const std::uint64_t outstanding = inflight_.size() + sq_.size() +
                                     pending_reads_.size() +
-                                    read_queue_.size() +
-                                    pending_atomics_.size();
+                                    read_queue_.size();
   hca_.sim().recorder().record(hca_.sim().now(), sim::TraceKind::kQpError,
                                trace_tag_, snd_una_, outstanding);
   IBWAN_WARN(hca_.sim().now(), "rc-qp",
@@ -306,22 +268,16 @@ void RcQp::enter_error() {
              static_cast<unsigned long long>(outstanding));
   disarm_rto();
   // Flush every requester-side WQE with an error completion, oldest
-  // first. Atomics complete through pending_atomics_ (their inflight/SQ
-  // entry carries the same wr) and internal messages never complete
-  // locally.
+  // first. Internal messages never complete locally.
   for (const InflightMsg& m : inflight_) {
     if (m.internal) {
       active_read_resps_.erase(m.wr.wr_id);
       continue;
     }
-    if (is_atomic(m.wr.opcode)) continue;
     flush_wqe(CqeType::kSendComplete, m.wr);
   }
   inflight_.clear();
-  for (const SendWr& wr : sq_) {
-    if (is_atomic(wr.opcode)) continue;
-    flush_wqe(CqeType::kSendComplete, wr);
-  }
+  for (const SendWr& wr : sq_) flush_wqe(CqeType::kSendComplete, wr);
   sq_.clear();
   for (const PendingRead& pr : pending_reads_) {
     hca_.sim().cancel(pr.retry_timer);
@@ -332,15 +288,6 @@ void RcQp::enter_error() {
     flush_wqe(CqeType::kRdmaReadComplete, wr);
   }
   read_queue_.clear();
-  // Deterministic flush order for the atomics map: by wr_id.
-  std::vector<std::uint64_t> atomic_ids;
-  atomic_ids.reserve(pending_atomics_.size());
-  for (const auto& [id, wr] : pending_atomics_) atomic_ids.push_back(id);
-  std::sort(atomic_ids.begin(), atomic_ids.end());
-  for (std::uint64_t id : atomic_ids) {
-    flush_wqe(CqeType::kAtomicComplete, pending_atomics_[id]);
-  }
-  pending_atomics_.clear();
   if (win_stalled_) {
     win_stalled_ = false;
     obs_.window_stall_ns->add(hca_.sim().now() - win_stall_since_);
@@ -461,9 +408,7 @@ void RcQp::handle_packet(const IbPacket& pkt, Lid /*src_lid*/) {
                               .remote_addr = pkt.remote_addr,
                               .imm = pkt.imm,
                               .has_imm = pkt.has_imm,
-                              .read_wr_id = pkt.read_wr_id,
-                              .atomic_value = pkt.atomic_value,
-                              .atomic_compare = pkt.atomic_compare};
+                              .read_wr_id = pkt.read_wr_id};
   }
   assert(assembling_.has_value() && "mid-message packet with no assembly");
   assembling_->received += pkt.payload_bytes;
@@ -542,38 +487,6 @@ void RcQp::deliver_message(const IncomingMsg& m) {
       }
       break;
     }
-    case Opcode::kFetchAdd:
-    case Opcode::kCompareSwap: {
-      // Responder: execute on the target word, reply with the old value.
-      // Exactly-once is inherited from the stream's reliable delivery.
-      std::uint64_t& word = hca_.memory_word(m.remote_addr);
-      const std::uint64_t old = word;
-      if (m.op == Opcode::kFetchAdd) {
-        word += m.atomic_value;
-      } else if (word == m.atomic_compare) {
-        word = m.atomic_value;
-      }
-      SendWr resp{.wr_id = m.read_wr_id,
-                  .opcode = Opcode::kAtomicResp,
-                  .length = kAtomicMsgBytes,
-                  .atomic_operand = old};
-      start_message(resp, /*internal=*/true, m.read_wr_id);
-      break;
-    }
-    case Opcode::kAtomicResp: {
-      // Requester: complete the pending atomic with its old value.
-      auto it = pending_atomics_.find(m.read_wr_id);
-      if (it == pending_atomics_.end()) break;
-      const SendWr req = it->second;
-      pending_atomics_.erase(it);
-      send_cq_->push_after(cfg.rdma_detect_overhead + cfg.cqe_latency,
-                           Cqe{.type = CqeType::kAtomicComplete,
-                               .wr_id = req.wr_id,
-                               .qpn = qpn_,
-                               .byte_len = 8,
-                               .atomic_old = m.atomic_value});
-      break;
-    }
     case Opcode::kRdmaRead:
       assert(false && "kRdmaRead never appears as a data stream opcode");
       break;
@@ -582,20 +495,11 @@ void RcQp::deliver_message(const IncomingMsg& m) {
 
 void RcQp::match_receives() {
   const HcaConfig& cfg = hca_.config();
-  while (!unclaimed_.empty()) {
-    // The QP's own receive queue has priority; fall back to the SRQ.
-    std::deque<RecvWr>* pool = nullptr;
-    if (!rq_.empty()) {
-      pool = &rq_;
-    } else if (srq_ != nullptr && !srq_->q_.empty()) {
-      pool = &srq_->q_;
-    } else {
-      return;
-    }
+  while (!unclaimed_.empty() && !rq_.empty()) {
     const IncomingMsg m = unclaimed_.front();
     unclaimed_.pop_front();
-    const RecvWr r = pool->front();
-    pool->pop_front();
+    const RecvWr r = rq_.front();
+    rq_.pop_front();
     recv_cq_->push_after(cfg.recv_match_overhead + cfg.cqe_latency,
                          Cqe{.type = m.op == Opcode::kSend
                                          ? CqeType::kRecvComplete

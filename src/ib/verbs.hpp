@@ -1,9 +1,9 @@
 // InfiniBand verbs API surface.
 //
 // Mirrors the shape of the OFED verbs interface the paper's middleware is
-// built on: queue pairs (RC and UD), work requests, completion queues,
-// memory regions. Data is modeled as byte counts; RDMA addresses index a
-// simulated remote address space.
+// built on: queue pairs (RC and UD), work requests and completion queues.
+// Data is modeled as byte counts; an RDMA address is an opaque number
+// the remote side sees with the write (RcQp's write listener).
 #pragma once
 
 #include <cstdint>
@@ -23,14 +23,8 @@ enum class Opcode : std::uint8_t {
   kRdmaWrite,
   kRdmaWriteWithImm,
   kRdmaRead,
-  /// Atomic fetch-and-add on a remote 64-bit word.
-  kFetchAdd,
-  /// Atomic compare-and-swap on a remote 64-bit word.
-  kCompareSwap,
   /// Internal: responder->requester data stream answering a kRdmaRead.
   kRdmaReadResp,
-  /// Internal: responder->requester reply carrying an atomic's old value.
-  kAtomicResp,
 };
 
 /// Wire header sizes. LRH+BTH+iCRC/vCRC come to ~30 bytes per IB packet;
@@ -57,10 +51,6 @@ struct SendWr {
   std::uint64_t remote_addr = 0;
   /// Immediate data, delivered with kSend and kRdmaWriteWithImm.
   std::uint32_t imm = 0;
-  /// Atomic operand: the addend (kFetchAdd) or swap value (kCompareSwap).
-  std::uint64_t atomic_operand = 0;
-  /// Atomic compare value (kCompareSwap only).
-  std::uint64_t atomic_compare = 0;
   /// Opaque message content descriptor, delivered with the completion on
   /// the remote side (stands in for the actual buffer bytes, which the
   /// simulator does not carry). Upper layers put protocol headers here.
@@ -78,7 +68,6 @@ enum class CqeType : std::uint8_t {
   kRecvComplete,      // incoming send consumed a receive WQE
   kRecvRdmaImm,       // incoming RDMA-write-with-imm consumed a receive WQE
   kRdmaReadComplete,  // RDMA read data fully arrived at the requester
-  kAtomicComplete,    // fetch-add / compare-swap done; old value returned
 };
 
 /// Completion queue entry.
@@ -93,8 +82,6 @@ struct Cqe {
   Lid src_lid = 0;
   Qpn src_qpn = 0;
   bool success = true;
-  /// Old value of the remote word (kAtomicComplete only).
-  std::uint64_t atomic_old = 0;
   /// The sender's SendWr::app_payload, if any.
   std::shared_ptr<const void> app_payload;
 
@@ -102,13 +89,6 @@ struct Cqe {
   const T& payload_as() const {
     return *static_cast<const T*>(app_payload.get());
   }
-};
-
-/// Registered memory region (token only; the simulator carries no bytes).
-struct Mr {
-  std::uint64_t addr = 0;
-  std::uint64_t length = 0;
-  std::uint32_t rkey = 0;
 };
 
 /// Per-HCA tunables. Defaults are calibrated in core/calibration.hpp to

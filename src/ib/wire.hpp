@@ -7,6 +7,11 @@
 // array is freed when the last of its packets is consumed or dropped.
 // Receivers read a header only during handle_packet; what outlives the
 // packet (app_payload) they copy out.
+//
+// Fields are ordered widest first so the struct packs into 96 bytes.
+// Its size is host memory only: the bytes a packet occupies on the wire
+// come from the k*HeaderBytes constants (ib/verbs.hpp) plus
+// payload_bytes, never from sizeof.
 #pragma once
 
 #include <cstdint>
@@ -24,30 +29,30 @@ enum class IbPacketType : std::uint8_t {
 };
 
 struct IbPacket {
-  IbPacketType type = IbPacketType::kData;
-  Qpn dst_qpn = 0;
-  Qpn src_qpn = 0;
-
-  // kData fields.
-  Opcode op = Opcode::kSend;
-  std::uint64_t msg_seq = 0;   // message number within the QP stream
-  std::uint64_t psn = 0;       // packet sequence number
-  std::uint32_t payload_bytes = 0;
-  bool first = false;
-  bool last = false;
-  std::uint64_t offset = 0;       // byte offset within the message
-  std::uint64_t remote_addr = 0;  // RDMA placement address
-  std::uint64_t total_length = 0; // message length (on first packet)
-  std::uint32_t imm = 0;
-  bool has_imm = false;
-  std::uint64_t read_wr_id = 0;  // ties read/atomic responses to requests
-  std::uint64_t atomic_value = 0;  // operand (request) / old value (resp)
-  std::uint64_t atomic_compare = 0;
-  /// Message content descriptor (carried on the last packet only).
+  /// Message content descriptor (kData, carried on the last packet only).
   std::shared_ptr<const void> app_payload;
+
+  // kData fields (read requests reuse remote_addr and total_length).
+  std::uint64_t msg_seq = 0;       // message number within the QP stream
+  std::uint64_t psn = 0;           // packet sequence number
+  std::uint64_t offset = 0;        // byte offset within the message
+  std::uint64_t remote_addr = 0;   // RDMA placement address
+  std::uint64_t total_length = 0;  // message length (on first packet)
+  std::uint64_t read_wr_id = 0;    // ties read responses to requests
 
   // kAck / kNak: next PSN the receiver expects (cumulative).
   std::uint64_t ack_psn = 0;
+
+  Qpn dst_qpn = 0;
+  Qpn src_qpn = 0;
+  std::uint32_t payload_bytes = 0;
+  std::uint32_t imm = 0;
+  IbPacketType type = IbPacketType::kData;
+  Opcode op = Opcode::kSend;
+  bool first = false;
+  bool last = false;
+  bool has_imm = false;
 };
+static_assert(sizeof(IbPacket) <= 96, "one IbPacket per packet in flight");
 
 }  // namespace ibwan::ib

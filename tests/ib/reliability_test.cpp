@@ -79,17 +79,28 @@ TEST(Reliability, RcRdmaReadSurvivesRequestLoss) {
   f.sim.seed(7);
   f.set_wan_loss(0.10);
   auto [qa, qb] = f.rc_pair();
-  (void)qb;
-  int done = 0;
-  f.scq_a.set_callback([&](const Cqe&) { ++done; });
-  for (int i = 0; i < 10; ++i) {
+  const int n = 10;
+  std::vector<int> completions(n, 0);
+  f.scq_a.set_callback([&](const Cqe& e) {
+    ASSERT_LT(e.wr_id, static_cast<std::uint64_t>(n));
+    EXPECT_EQ(e.type, CqeType::kRdmaReadComplete);
+    EXPECT_TRUE(e.success);
+    ++completions[e.wr_id];
+  });
+  for (int i = 0; i < n; ++i) {
     qa->post_send(SendWr{.wr_id = static_cast<std::uint64_t>(i),
                          .opcode = Opcode::kRdmaRead,
                          .length = 20000});
   }
   f.sim.run();
   EXPECT_GT(f.wan_drops(), 0u);
-  EXPECT_EQ(done, 10);
+  // Lost response packets are resent by the responder; each resent
+  // range must still carry its read's id, or the requester cannot
+  // match it and the read never completes.
+  EXPECT_GT(qb->stats().pkts_retransmitted, 0u);
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(completions[i], 1) << "wr_id " << i;
+  }
 }
 
 TEST(Reliability, RetransmissionPreservesExactlyOnceDelivery) {
